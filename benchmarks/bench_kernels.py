@@ -1,7 +1,7 @@
 """Timing comparison of the two counting kernels.
 
 Runs the pure Python kernel and, when the extension is importable, the
-compiled one on identical workloads, checks that their outputs agree,
+C one on identical workloads, checks that their outputs agree,
 and prints a small table with the speedup.
 
 Usage:
@@ -19,9 +19,9 @@ from lexext import _core_py
 from lexext.verify import graph_count, pair_slots
 
 try:
-    from lexext import _core_cy
+    from lexext import _core_c
 except ImportError:
-    _core_cy = None
+    _core_c = None
 
 
 def random_adj(n: int, rng: random.Random) -> list[int]:
@@ -52,8 +52,8 @@ def bench_profile(n: int, graphs: int, repeat: int, rng: random.Random):
         return [mod.profile_counts(adj, n) for adj in batch]
 
     rows = [("python", *time_call(lambda: run(_core_py), repeat))]
-    if _core_cy is not None:
-        rows.append(("cython", *time_call(lambda: run(_core_cy), repeat)))
+    if _core_c is not None:
+        rows.append(("c", *time_call(lambda: run(_core_c), repeat)))
     return rows
 
 
@@ -65,8 +65,8 @@ def bench_scan(n: int, m: int, repeat: int):
         return mod.scan_graph_range(n, m, first, steps)
 
     rows = [("python", *time_call(lambda: run(_core_py), repeat))]
-    if _core_cy is not None:
-        rows.append(("cython", *time_call(lambda: run(_core_cy), repeat)))
+    if _core_c is not None:
+        rows.append(("c", *time_call(lambda: run(_core_c), repeat)))
     return rows, steps
 
 
@@ -99,8 +99,8 @@ def main() -> None:
     if args.scan_m > len(pair_slots(args.scan_n)):
         parser.error("--scan-m exceeds the number of vertex pairs")
 
-    if _core_cy is None:
-        print("compiled extension not importable; timing pure Python only")
+    if _core_c is None:
+        print("C extension not importable; timing pure Python only")
 
     rng = random.Random(args.seed)
     report(

@@ -1,26 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernels are an optional speedup: the package falls back to
-# the pure-Python implementations in lexext._core_py when the extension
-# is missing.  Set LEXEXT_NO_EXT=1 to skip building it.
-ext_modules = []
-if os.environ.get("LEXEXT_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "lexext._core_cy",
-                    ["src/lexext/_core_cy.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The C kernel is an optional speedup: when it cannot be compiled, the
+# build warns and the package runs on the pure-Python kernel in
+# lexext._core_py.
+setup(
+    ext_modules=[
+        Extension(
+            "lexext._core_c",
+            ["src/lexext/_core_c.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

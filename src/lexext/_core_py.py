@@ -1,7 +1,8 @@
 """Pure-Python counting kernels.
 
-Reference implementations with the same contracts as the compiled
-``_core_cy`` module; ``_kernels`` selects between the two at import time.
+Reference implementations with the same contracts as the C extension
+``_core_c``; ``_kernels`` selects between the two at import time, and the
+tests hold the C kernel to these results.
 Graphs arrive as sequences of adjacency bitmasks where bit i stands for
 vertex index i (0-based).  These functions are pure and safe to call from
 any number of threads or worker processes.

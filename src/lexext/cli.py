@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from ._kernels import MAX_ORDER
 from .arith import binom
 from .bounds import bound_report
 from .counting import independence_profile
@@ -26,7 +27,6 @@ from .lexgraph import build_lex_graph
 from .verify import DEFAULT_BUDGET, verify_range
 
 BUDGET_ENV = "LEXEXT_BUDGET"
-COUNT_MAX_ORDER = 62
 
 
 def resolve_budget(flag_value: int | None) -> int:
@@ -140,10 +140,8 @@ def cmd_count(args) -> int:
         except OSError as exc:
             raise DomainError(f"cannot read {args.input}: {exc}") from None
     g = parse_document(text, args.format).graph
-    if g.n > COUNT_MAX_ORDER:
-        raise DomainError(
-            f"counting is limited to order <= {COUNT_MAX_ORDER}, got n={g.n}"
-        )
+    if g.n > MAX_ORDER:
+        raise DomainError(f"counting is limited to order <= {MAX_ORDER}, got n={g.n}")
     profile = independence_profile(g)
     payload = {"n": g.n, "m": g.m, "alpha": profile.alpha()}
     if args.r is not None:

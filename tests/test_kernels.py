@@ -1,24 +1,20 @@
 """The compiled and pure counting kernels must be interchangeable."""
 
+import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 import lexext
 from lexext import _core_py, _kernels, binom
 from lexext.verify import graph_count, unrank_combination
-
-try:
-    from lexext import _core_cy
-except ImportError:
-    _core_cy = None
-
-needs_compiled = pytest.mark.skipif(
-    _core_cy is None, reason="compiled kernel not built"
-)
 
 
 def random_adj(n: int, rng) -> list[int]:
@@ -34,6 +30,40 @@ def random_adj(n: int, rng) -> list[int]:
 # the directory holding the imported lexext package, so a child interpreter
 # imports the same copy whether or not the package is installed
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(lexext.__file__)))
+C_SOURCE = Path(lexext.__file__).with_name("_core_c.c")
+
+
+def build_core_c(out_dir: Path):
+    """Compile the C kernel source into out_dir with setuptools' build_ext
+    and load it from there, leaving the source tree untouched."""
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    ext = Extension("_core_c", [str(C_SOURCE)], extra_compile_args=["-O3"])
+    cmd = build_ext(Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = str(out_dir)
+    cmd.build_temp = str(out_dir / "temp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location("_core_c", cmd.get_ext_fullpath("_core_c"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def core_c(tmp_path_factory):
+    """The C kernel: the built extension when it imports, else compiled from
+    its source for this test run.  Skips only when no C compiler is found;
+    a compile error fails the tests."""
+    try:
+        from lexext import _core_c
+    except ImportError:
+        cc = os.environ.get("CC") or sysconfig.get_config_var("CC")
+        if not cc or shutil.which(shlex.split(cc)[0]) is None:
+            pytest.skip("no C compiler found to build the C kernel")
+        _core_c = build_core_c(tmp_path_factory.mktemp("core_c"))
+    return _core_c
 
 
 class TestBackendSelection:
@@ -47,7 +77,7 @@ class TestBackendSelection:
         }
 
     def test_backend_reported(self):
-        assert _kernels.BACKEND in ("cython", "python")
+        assert _kernels.BACKEND in ("c", "python")
 
     def test_env_pins_pure(self):
         code = "import lexext; print(lexext.KERNEL_BACKEND)"
@@ -62,50 +92,96 @@ class TestBackendSelection:
 
     def test_env_rejects_unknown(self):
         code = "import lexext"
+        for backend in ("rust", "cython"):
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=self.child_env(backend),
+                timeout=60,
+            )
+            assert out.returncode != 0
+            assert "LEXEXT_BACKEND" in out.stderr
+
+    def test_env_pins_missing_c_kernel(self, tmp_path):
+        # a copy of the package's Python files only, so the C kernel is
+        # missing whether or not the extension is built in the source tree
+        package = tmp_path / "lexext"
+        package.mkdir()
+        for source in Path(lexext.__file__).parent.glob("*.py"):
+            shutil.copy(source, package)
+        env = {**self.child_env("c"), "PYTHONPATH": str(tmp_path)}
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", "import lexext"],
             capture_output=True,
             text=True,
-            env=self.child_env("rust"),
+            env=env,
             timeout=60,
         )
         assert out.returncode != 0
-        assert "LEXEXT_BACKEND" in out.stderr
+        last = out.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError:")
+        assert "LEXEXT_BACKEND" in last and "lexext._core_c" in last
+        assert "direct cause of the following exception" in out.stderr
 
 
-@needs_compiled
 class TestKernelAgreement:
-    def test_profile_counts(self):
+    def test_order_cap_matches(self, core_c):
+        assert core_c.MAX_ORDER == _kernels.MAX_ORDER
+
+    def test_profile_counts(self, core_c):
         rng = random.Random(101)
         for _ in range(300):
             n = rng.randint(1, 16)
             adj = random_adj(n, rng)
-            assert _core_cy.profile_counts(adj, n) == _core_py.profile_counts(adj, n)
+            assert core_c.profile_counts(adj, n) == _core_py.profile_counts(adj, n)
+        # the empty graph, and the edgeless graph at the cap, whose total
+        # 2**62 is the largest the int64 counts must hold
+        for adj, n in [([], 0), ([0] * 62, 62)]:
+            assert core_c.profile_counts(adj, n) == _core_py.profile_counts(adj, n)
+        assert sum(core_c.profile_counts([0] * 62, 62)) == 2**62
 
-    def test_max_independent_size(self):
+    def test_max_independent_size(self, core_c):
         rng = random.Random(102)
         for _ in range(300):
             n = rng.randint(1, 16)
             adj = random_adj(n, rng)
-            assert _core_cy.max_independent_size(adj, n) == _core_py.max_independent_size(
+            assert core_c.max_independent_size(adj, n) == _core_py.max_independent_size(
                 adj, n
             )
 
-    def test_scan_full_cells(self):
+    def test_scan_full_cells(self, core_c):
         for n, m in [(4, 3), (5, 6), (5, 0), (5, 10), (6, 9)]:
             total = graph_count(n, m)
             first = tuple(range(m))
-            assert _core_cy.scan_graph_range(n, m, first, total) == tuple(
+            assert core_c.scan_graph_range(n, m, first, total) == tuple(
                 _core_py.scan_graph_range(n, m, first, total)
             )
 
-    def test_scan_partial_ranges(self):
+    def test_scan_partial_ranges(self, core_c):
         p = binom(5, 2)
-        for lo, hi in [(0, 1), (7, 40), (100, 210), (205, 210)]:
+        # (9, 9) takes no steps; (205, 300) runs past the last of the 210
+        for lo, hi in [(0, 1), (7, 40), (100, 210), (205, 210), (9, 9), (205, 300)]:
             first = unrank_combination(p, 6, lo)
-            assert _core_cy.scan_graph_range(5, 6, first, hi - lo) == tuple(
+            assert core_c.scan_graph_range(5, 6, first, hi - lo) == tuple(
                 _core_py.scan_graph_range(5, 6, first, hi - lo)
             )
+
+    def test_rejects_what_its_arrays_cannot_hold(self, core_c):
+        adj = [0] * 63
+        with pytest.raises(ValueError):
+            core_c.profile_counts(adj, 63)
+        with pytest.raises(ValueError):
+            core_c.max_independent_size(adj, 63)
+        with pytest.raises(ValueError):
+            core_c.scan_graph_range(63, 0, (), 1)
+        with pytest.raises(ValueError):
+            core_c.scan_graph_range(5, 11, (0,) * 11, 1)
+        with pytest.raises(ValueError):
+            core_c.scan_graph_range(5, 3, (0, 1), 1)
+        for slot in (-1, 10):
+            with pytest.raises(ValueError):
+                core_c.scan_graph_range(5, 3, (0, 1, slot), 1)
 
 
 class TestPureKernelShapes:
