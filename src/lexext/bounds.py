@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .arith import binom, is_exact_triangular, triangular_decompose
 from .errors import DomainError
@@ -30,18 +31,34 @@ class SRelation(Enum):
     S_EQUALS_ALPHA_U_MINUS_1 = "S_EQUALS_ALPHA_U_MINUS_1"
 
 
+@lru_cache(maxsize=1)
+def _cell(n: int, m: int):
+    """Validate the cell (n, m) once and decompose it both ways.
+
+    Returns (sds(m, n), the (s, t) decomposition of C(n, 2) - m), each
+    None on the boundary where it is undefined: the first at m = 0, the
+    second at m = C(n, 2).  The two are computed independently, so the
+    callers' cross-checks compare two derivations, not one.  One entry
+    is cached because callers walk r (or certificates) inside one cell;
+    an invalid cell raises on every call, as exceptions are not cached.
+    """
+    if n < 1:
+        raise DomainError(f"cell (n, m) requires n >= 1, got n={n}")
+    edges = binom(n, 2)
+    if not 0 <= m <= edges:
+        raise DomainError(f"cell (n, m) requires 0 <= m <= C(n,2) = {edges}, got m={m}")
+    depth = sds_decompose(n, m) if m > 0 else None
+    triangular = erdos_decompose_for_independent_sets(n, m) if m < edges else None
+    return depth, triangular
+
+
 def alpha_upper(n: int, m: int) -> int:
     """Sharp upper bound for the independence number over graphs (n, m).
 
     Equals n - k with k the depth of sds(m, n); the edgeless graph gets n.
     """
-    if n < 1:
-        raise DomainError(f"alpha_upper requires n >= 1, got n={n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(f"alpha_upper requires 0 <= m <= C(n,2), got m={m}")
-    if m == 0:
-        return n
-    return n - sds_decompose(n, m).k
+    d, _ = _cell(n, m)
+    return n if d is None else n - d.k
 
 
 def ir_upper_lex(n: int, m: int, r: int) -> int:
@@ -52,15 +69,11 @@ def ir_upper_lex(n: int, m: int, r: int) -> int:
     C(n-k, r).  Defined for r >= 2; sizes 0 and 1 are trivially 1 and n
     and are outside this formula's scope.
     """
-    if n < 1:
-        raise DomainError(f"ir_upper_lex requires n >= 1, got n={n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(f"ir_upper_lex requires 0 <= m <= C(n,2), got m={m}")
+    d, _ = _cell(n, m)
     if r < 2:
         raise DomainError(f"ir_upper_lex requires r >= 2, got r={r}")
-    if m == 0:
+    if d is None:
         return binom(n, r)
-    d = sds_decompose(n, m)
     return binom(n - d.k - d.p_k, r - 1) + binom(n - d.k, r)
 
 
@@ -73,15 +86,11 @@ def ir_upper_erdos(n: int, m: int, r: int) -> int:
     an extension of the classical r >= 3 statement and is validated
     against the other form.
     """
-    if n < 1:
-        raise DomainError(f"ir_upper_erdos requires n >= 1, got n={n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(f"ir_upper_erdos requires 0 <= m <= C(n,2), got m={m}")
+    _, e = _cell(n, m)
     if r < 2:
         raise DomainError(f"ir_upper_erdos requires r >= 2, got r={r}")
-    if m == binom(n, 2):
+    if e is None:
         return 0
-    e = erdos_decompose_for_independent_sets(n, m)
     return binom(e.s, r) + binom(e.t, r - 1)
 
 
@@ -107,22 +116,19 @@ def s_alpha_relation(n: int, m: int) -> SRelation:
 
     s = alpha_upper - 1 exactly when the non-edge count is triangular,
     i.e. of the form C(s, 2) + s.  The answer is cross-checked against s
-    and alpha_upper computed directly.
+    and the bound n - k, taken from the two decompositions.
     """
-    if n < 2:
-        raise DomainError(f"s_alpha_relation requires n >= 2, got n={n}")
-    if not 0 < m < binom(n, 2):
+    d, e = _cell(n, m)
+    if d is None or e is None:
         raise DomainError(
             f"s_alpha_relation requires 0 < m < C(n,2), got m={m}; "
             "the boundary graphs are excluded"
         )
-    exact = is_exact_triangular(binom(n, 2) - m) is not None
-    relation = SRelation.S_EQUALS_ALPHA_U_MINUS_1 if exact else SRelation.S_EQUALS_ALPHA_U
-    s = erdos_decompose_for_independent_sets(n, m).s
-    expected = alpha_upper(n, m) - 1 if exact else alpha_upper(n, m)
-    if s != expected:
+    exact = is_exact_triangular(e.m_complement) is not None
+    expected = n - d.k - 1 if exact else n - d.k
+    if e.s != expected:
         raise AssertionError(f"s/alpha cross-check failed for n={n}, m={m}")
-    return relation
+    return SRelation.S_EQUALS_ALPHA_U_MINUS_1 if exact else SRelation.S_EQUALS_ALPHA_U
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,14 @@ class BoundReport:
     s_relation: SRelation | None
     entries: tuple[IrBound, ...]
 
+    def as_dict(self) -> dict:
+        """The report as JSON-ready data: the relation by its value and
+        the entries as a list under "bounds", after the cell fields."""
+        d = dict(vars(self))
+        d["s_relation"] = None if self.s_relation is None else self.s_relation.value
+        d["bounds"] = [dict(vars(entry)) for entry in d.pop("entries")]
+        return d
+
 
 def bound_report(n: int, m: int, r_max: int | None = None, *, r_values=None) -> BoundReport:
     """Assemble all bounds for r in 2..r_max (or an explicit size list).
@@ -158,10 +172,7 @@ def bound_report(n: int, m: int, r_max: int | None = None, *, r_values=None) -> 
     Both independent-set forms are evaluated for every r and must agree;
     a mismatch raises, since it would mean one decomposition is wrong.
     """
-    if n < 1:
-        raise DomainError(f"bound_report requires n >= 1, got n={n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(f"bound_report requires 0 <= m <= C(n,2), got m={m}")
+    d, e = _cell(n, m)
     if r_values is None:
         if r_max is None:
             raise DomainError("bound_report needs r_max or r_values")
@@ -172,17 +183,6 @@ def bound_report(n: int, m: int, r_max: int | None = None, *, r_values=None) -> 
     for r in rs:
         if not 2 <= r <= n:
             raise DomainError(f"independent-set size r={r} outside 2..{n}")
-
-    k = p_k = None
-    if m >= 1:
-        d = sds_decompose(n, m)
-        k, p_k = d.k, d.p_k
-    s = t = None
-    relation = None
-    if 0 < m < binom(n, 2):
-        e = erdos_decompose_for_independent_sets(n, m)
-        s, t = e.s, e.t
-        relation = s_alpha_relation(n, m)
 
     entries = []
     for r in rs:
@@ -195,14 +195,15 @@ def bound_report(n: int, m: int, r_max: int | None = None, *, r_values=None) -> 
             )
         entries.append(IrBound(r=r, ir_upper_lex=lex_form, ir_upper_erdos=erdos_form))
 
+    interior = d is not None and e is not None
     return BoundReport(
         n=n,
         m=m,
-        k=k,
-        p_k=p_k,
-        s=s,
-        t=t,
+        k=None if d is None else d.k,
+        p_k=None if d is None else d.p_k,
+        s=e.s if interior else None,
+        t=e.t if interior else None,
         alpha_upper=alpha_upper(n, m),
-        s_relation=relation,
+        s_relation=s_alpha_relation(n, m) if interior else None,
         entries=tuple(entries),
     )

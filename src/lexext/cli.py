@@ -47,26 +47,8 @@ def resolve_budget(flag_value: int | None) -> int:
     return budget
 
 
-def _dash(value) -> str:
-    return "-" if value is None else str(value)
-
-
-def _report_row(report, entry) -> str:
-    return ",".join(
-        [
-            str(report.n),
-            str(report.m),
-            _dash(report.k),
-            _dash(report.p_k),
-            _dash(report.s),
-            _dash(report.t),
-            str(report.alpha_upper),
-            _dash(report.s_relation.value if report.s_relation else None),
-            str(entry.r),
-            str(entry.ir_upper_lex),
-            str(entry.ir_upper_erdos),
-        ]
-    )
+def _csv_row(record: dict) -> str:
+    return ",".join("-" if value is None else str(value) for value in record.values())
 
 
 def _parse_r_list(values: list[str]) -> list[int]:
@@ -91,33 +73,14 @@ def cmd_bound(args) -> int:
     else:
         # --all-r, also the default when no sizes are named
         report = bound_report(args.n, args.m, r_max=args.n)
+    cell = report.as_dict()
     if args.format == "csv":
+        bounds = cell.pop("bounds")
         print("n,m,k,p_k,s,t,alpha_upper,s_relation,r,ir_upper_lex,ir_upper_erdos")
-        for entry in report.entries:
-            print(_report_row(report, entry))
+        for entry in bounds:
+            print(_csv_row({**cell, **entry}))
     else:
-        print(
-            json.dumps(
-                {
-                    "n": report.n,
-                    "m": report.m,
-                    "k": report.k,
-                    "p_k": report.p_k,
-                    "s": report.s,
-                    "t": report.t,
-                    "alpha_upper": report.alpha_upper,
-                    "s_relation": report.s_relation.value if report.s_relation else None,
-                    "bounds": [
-                        {
-                            "r": entry.r,
-                            "ir_upper_lex": entry.ir_upper_lex,
-                            "ir_upper_erdos": entry.ir_upper_erdos,
-                        }
-                        for entry in report.entries
-                    ],
-                }
-            )
-        )
+        print(json.dumps(cell))
     return 0
 
 
@@ -191,42 +154,17 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     rows = []
     for m in range(binom(args.n, 2) + 1):
-        report = bound_report(args.n, m, r_values=[args.r])
-        (entry,) = report.entries
-        rows.append((report, entry))
+        cell = bound_report(args.n, m, r_values=[args.r]).as_dict()
+        (entry,) = cell["bounds"]
+        row = {key: cell[key] for key in ("m", "k", "p_k", "s", "t", "alpha_upper")}
+        row["ir_upper"] = entry["ir_upper_lex"]
+        rows.append(row)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "m": report.m,
-                        "k": report.k,
-                        "p_k": report.p_k,
-                        "s": report.s,
-                        "t": report.t,
-                        "alpha_upper": report.alpha_upper,
-                        "ir_upper": entry.ir_upper_lex,
-                    }
-                    for report, entry in rows
-                ]
-            )
-        )
+        print(json.dumps(rows))
     else:
         print("m,k,p_k,s,t,alpha_upper,ir_upper")
-        for report, entry in rows:
-            print(
-                ",".join(
-                    [
-                        str(report.m),
-                        _dash(report.k),
-                        _dash(report.p_k),
-                        _dash(report.s),
-                        _dash(report.t),
-                        str(report.alpha_upper),
-                        str(entry.ir_upper_lex),
-                    ]
-                )
-            )
+        for row in rows:
+            print(_csv_row(row))
     return 0
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import _kernels
 from .arith import binom
@@ -97,6 +98,13 @@ def for_each_graph(n: int, m: int, visitor, *, budget: int = DEFAULT_BUDGET) -> 
     return visited
 
 
+def _max_with_ties(a: int, a_count: int, b: int, b_count: int) -> tuple[int, int]:
+    """The larger of two maxima with its tie count; equal maxima add counts."""
+    if a == b:
+        return a, a_count + b_count
+    return (a, a_count) if a > b else (b, b_count)
+
+
 @dataclass(frozen=True)
 class CellScan:
     """Reduction of one (n, m) cell: maxima with tie counts.
@@ -134,39 +142,23 @@ class CellScan:
     def merge(self, other: "CellScan") -> "CellScan":
         if (self.n, self.m) != (other.n, other.m):
             raise DomainError("cannot merge scans of different cells")
-        max_ir = []
-        ir_count = []
-        for r in range(self.n + 1):
-            a, b = self.max_ir[r], other.max_ir[r]
-            if a == b:
-                max_ir.append(a)
-                ir_count.append(self.ir_count[r] + other.ir_count[r])
-            elif a > b:
-                max_ir.append(a)
-                ir_count.append(self.ir_count[r])
-            else:
-                max_ir.append(b)
-                ir_count.append(other.ir_count[r])
-        if self.max_alpha == other.max_alpha:
-            max_alpha, alpha_count = self.max_alpha, self.alpha_count + other.alpha_count
-        elif self.max_alpha > other.max_alpha:
-            max_alpha, alpha_count = self.max_alpha, self.alpha_count
-        else:
-            max_alpha, alpha_count = other.max_alpha, other.alpha_count
-        if self.max_total == other.max_total:
-            max_total, total_count = self.max_total, self.total_count + other.total_count
-        elif self.max_total > other.max_total:
-            max_total, total_count = self.max_total, self.total_count
-        else:
-            max_total, total_count = other.max_total, other.total_count
+        max_ir, ir_count = zip(
+            *map(_max_with_ties, self.max_ir, self.ir_count, other.max_ir, other.ir_count)
+        )
+        max_alpha, alpha_count = _max_with_ties(
+            self.max_alpha, self.alpha_count, other.max_alpha, other.alpha_count
+        )
+        max_total, total_count = _max_with_ties(
+            self.max_total, self.total_count, other.max_total, other.total_count
+        )
         return CellScan(
             n=self.n,
             m=self.m,
             graphs_checked=self.graphs_checked + other.graphs_checked,
             max_alpha=max_alpha,
             alpha_count=alpha_count,
-            max_ir=tuple(max_ir),
-            ir_count=tuple(ir_count),
+            max_ir=max_ir,
+            ir_count=ir_count,
             max_total=max_total,
             total_count=total_count,
         )
@@ -291,6 +283,12 @@ def _find_counterexample(n: int, m: int, exceeds, budget: int):
     return found[0] if found else None
 
 
+@lru_cache(maxsize=1)
+def _lex_profile(n: int, m: int):
+    # certificates come cell by cell, so one entry serves all of a cell's
+    return independence_profile(build_lex_graph(n, m))
+
+
 def _certificate(
     kind: str,
     n: int,
@@ -339,7 +337,7 @@ def verify_alpha_sharp(
     if scan is None:
         scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
     bound = alpha_upper(n, m)
-    lex_profile = independence_profile(build_lex_graph(n, m))
+    lex_profile = _lex_profile(n, m)
     return _certificate(
         "alpha",
         n,
@@ -375,7 +373,7 @@ def verify_ir_sharp(
     if scan is None:
         scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
     bound = ir_upper_lex(n, m, r)
-    lex_profile = independence_profile(build_lex_graph(n, m))
+    lex_profile = _lex_profile(n, m)
     return _certificate(
         "ir",
         n,
@@ -405,7 +403,7 @@ def verify_total_count_extremality(
     total, so valid means no graph beats it."""
     if scan is None:
         scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
-    lex_total = independence_profile(build_lex_graph(n, m)).total()
+    lex_total = _lex_profile(n, m).total()
     return _certificate(
         "total",
         n,

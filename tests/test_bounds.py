@@ -19,6 +19,7 @@ from lexext import (
     s_alpha_relation,
     sds_decompose,
 )
+from lexext import bounds
 from naive import naive_clique_count
 from lexext.verify import for_each_graph
 
@@ -231,5 +232,28 @@ class TestBoundReport:
             bound_report(5, 6, r_max=6)
         with pytest.raises(DomainError):
             bound_report(5, 6, r_values=[1])
-        with pytest.raises(DomainError):
-            bound_report(5, 11, r_max=3)
+        # twice: a failure left in the per-cell cache would pass the second call
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"C\(n,2\)"):
+                bound_report(5, 11, r_max=3)
+
+    def test_decomposes_each_cell_once(self, monkeypatch):
+        calls = {"sds": 0, "erdos": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        bound_report(80, 999, r_max=2)  # another cell, so (80, 1000) is not cached
+        monkeypatch.setattr(bounds, "sds_decompose", counted("sds", sds_decompose))
+        monkeypatch.setattr(
+            bounds,
+            "erdos_decompose_for_independent_sets",
+            counted("erdos", erdos_decompose_for_independent_sets),
+        )
+        report = bound_report(80, 1000, r_max=80)
+        assert len(report.entries) == 79
+        assert calls == {"sds": 1, "erdos": 1}

@@ -64,6 +64,11 @@ class TestBound:
         lines = out.splitlines()
         assert lines[0] == "n,m,k,p_k,s,t,alpha_upper,s_relation,r,ir_upper_lex,ir_upper_erdos"
         assert lines[1] == "5,6,2,2,3,1,3,S_EQUALS_ALPHA_U,3,1,1"
+        _, out, _ = run(capsys, "bound", "--n", "5", "--m", "10", "--r", "3", "--format", "csv")
+        assert out.splitlines()[1] == "5,10,4,1,-,-,1,-,3,0,0"
+        # no sizes to bound at n=1: the header alone, all eleven columns
+        _, out, _ = run(capsys, "bound", "--n", "1", "--m", "0", "--format", "csv")
+        assert out == lines[0] + "\n"
 
     def test_domain_error_exit_one(self, capsys):
         code, _, err = run(capsys, "bound", "--n", "5", "--m", "11", "--r", "3")

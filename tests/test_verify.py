@@ -178,6 +178,7 @@ class TestCellScan:
                 5, 6, _core_py.scan_graph_range(5, 6, unrank_combination(p, 6, cut), total - cut)
             )
             assert left.merge(right) == full
+            assert right.merge(left) == full
 
     def test_merge_rejects_mismatched_cells(self):
         a = scan_cell(4, 2)
