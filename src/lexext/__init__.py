@@ -63,7 +63,6 @@ from .verify import (
     SharpnessCertificate,
     SkippedCell,
     VerificationSummary,
-    for_each_graph,
     graph_count,
     pair_slots,
     scan_cell,
@@ -122,7 +121,6 @@ __all__ = [
     "pair_slots",
     "graph_count",
     "unrank_combination",
-    "for_each_graph",
     "scan_cell",
     "verify_alpha_sharp",
     "verify_ir_sharp",

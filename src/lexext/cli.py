@@ -123,24 +123,26 @@ def cmd_verify(args) -> int:
     budget = resolve_budget(args.budget)
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    # more workers than CPUs only add start-up cost; output is the same
+    jobs = min(args.jobs, os.cpu_count() or 1)
     n_max = args.n_max
     r_max = args.r_max if args.r_max is not None else max(2, n_max)
 
     def emit(record: dict) -> None:
         print(json.dumps(record))
 
-    if args.jobs == 1:
+    if jobs == 1:
         summary = verify_range(n_max, r_max, budget=budget, emit=emit)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             summary = verify_range(
                 n_max,
                 r_max,
                 budget=budget,
                 pool=pool,
-                chunks=4 * args.jobs,
+                chunks=4 * jobs,
                 emit=emit,
             )
     print(json.dumps(summary.as_dict()))
@@ -226,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"max graphs per cell (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes, at most the CPU count (default 1)",
+    )
     p_verify.add_argument(
         "--strict",
         action="store_true",

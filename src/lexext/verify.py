@@ -12,22 +12,27 @@ and against the lex graph's own counts.  Validity (no graph beats the
 bound) and sharpness (some graph meets it, the lex graph among them) are
 recorded separately so a failure says precisely what broke.
 
+A failed certificate carries the first graph in enumeration order that
+beats its bound.  It is found by bisecting rank ranges with the same
+kernel scan: of a range known to hold a witness, the left half is kept
+when its scanned maximum beats the bound, the right half otherwise.
+That costs at most about one more scan of the cell.
+
 Cells larger than the budget are refused up front with the exact graph
 count required, never silently truncated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import _kernels
 from .arith import binom
 from .bounds import alpha_upper, ir_upper_lex
 from .counting import independence_profile
 from .errors import BudgetExceededError, DomainError
-from .lexgraph import Graph, build_lex_graph
+from .lexgraph import build_lex_graph
 
 DEFAULT_BUDGET = 10**7
 
@@ -52,9 +57,8 @@ def graph_count(n: int, m: int) -> int:
 def unrank_combination(p: int, m: int, rank: int) -> tuple[int, ...]:
     """The rank-th m-combination of {0, ..., p-1} in lex order.
 
-    Inverse of the order itertools.combinations(range(p), m) produces;
-    used to hand each parallel worker the first combination of its rank
-    range without enumerating everything before it.
+    Lex order is the order in which the kernel's scan visits them; this
+    starts a scan at any rank without enumerating everything before it.
     """
     if p < 0 or m < 0 or m > p:
         raise DomainError(f"unrank_combination needs 0 <= m <= p, got p={p}, m={m}")
@@ -74,28 +78,6 @@ def unrank_combination(p: int, m: int, rank: int) -> tuple[int, ...]:
             rank -= c
             x += 1
     return tuple(combo)
-
-
-def for_each_graph(n: int, m: int, visitor, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Deliver every labeled graph of the cell to ``visitor``, once each,
-    in lex combination order.  Returns the number of graphs visited.
-
-    Refuses cells whose graph count exceeds ``budget``.
-    """
-    total = graph_count(n, m)
-    if total > budget:
-        raise BudgetExceededError(n, m, required=total, budget=budget)
-    slots = pair_slots(n)
-    visited = 0
-    for combo in itertools.combinations(range(len(slots)), m):
-        adj = [0] * n
-        for idx in combo:
-            u, v = slots[idx]
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        visitor(Graph(n, tuple(adj)))
-        visited += 1
-    return visited
 
 
 def _max_with_ties(a: int, a_count: int, b: int, b_count: int) -> tuple[int, int]:
@@ -165,9 +147,16 @@ class CellScan:
 
 
 def _scan_chunk(args):
-    # top-level so multiprocessing can pickle it
-    n, m, first_combo, steps = args
-    return _kernels.scan_graph_range(n, m, first_combo, steps)
+    # top-level so multiprocessing can pickle it; a worker sends back the
+    # kernel's raw tuple, which pickles cheaper than a CellScan
+    n, m, lo, steps = args
+    first = unrank_combination(binom(n, 2), m, lo)
+    return _kernels.scan_graph_range(n, m, first, steps)
+
+
+def _scan_range(n: int, m: int, lo: int, steps: int) -> CellScan:
+    """Scan the graphs of ranks lo .. lo + steps - 1 of the cell."""
+    return CellScan.from_raw(n, m, _scan_chunk((n, m, lo, steps)))
 
 
 def scan_cell(
@@ -191,19 +180,13 @@ def scan_cell(
         chunks = 1 if pool is None else 16
     chunks = max(1, min(chunks, total))
     if pool is None or chunks == 1:
-        raw = _kernels.scan_graph_range(n, m, tuple(range(m)), total)
-        scan = CellScan.from_raw(n, m, raw)
+        scan = _scan_range(n, m, 0, total)
     else:
-        p = len(pair_slots(n))
-        bounds_ = [i * total // chunks for i in range(chunks + 1)]
-        tasks = []
-        for lo, hi in zip(bounds_, bounds_[1:]):
-            if hi > lo:
-                tasks.append((n, m, unrank_combination(p, m, lo), hi - lo))
-        parts = pool.map(_scan_chunk, tasks)
-        scan = CellScan.from_raw(n, m, parts[0])
-        for raw in parts[1:]:
-            scan = scan.merge(CellScan.from_raw(n, m, raw))
+        # chunks <= total, so every range is non-empty
+        cuts = [i * total // chunks for i in range(chunks + 1)]
+        tasks = [(n, m, lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        parts = [CellScan.from_raw(n, m, raw) for raw in pool.map(_scan_chunk, tasks)]
+        scan = reduce(CellScan.merge, parts)
     if scan.graphs_checked != total:
         raise AssertionError(
             f"cell ({n},{m}) scanned {scan.graphs_checked} graphs, expected {total}"
@@ -265,22 +248,19 @@ class SharpnessCertificate:
         return d
 
 
-def _find_counterexample(n: int, m: int, exceeds, budget: int):
-    """First graph (lex combination order) whose profile trips ``exceeds``.
-
-    Only called after a scan has already proved one exists, so the linear
-    rescan is a diagnostic path, not a hot one.
-    """
-    found = []
-
-    def visitor(g: Graph) -> None:
-        if found:
-            return
-        if exceeds(independence_profile(g)):
-            found.append(tuple(g.edges()))
-
-    for_each_graph(n, m, visitor, budget=budget)
-    return found[0] if found else None
+def _find_counterexample(n: int, m: int, observed, bound: int):
+    """Edges of the first graph, in enumeration order, whose ``observed``
+    value beats ``bound``.  Only called once a scan of the whole cell has
+    proved such a graph exists; bisects rank ranges that hold one."""
+    lo, hi = 0, graph_count(n, m)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if observed(_scan_range(n, m, lo, mid - lo))[0] > bound:
+            hi = mid
+        else:
+            lo = mid
+    slots = pair_slots(n)
+    return tuple(slots[i] for i in unrank_combination(len(slots), m, lo))
 
 
 @lru_cache(maxsize=1)
@@ -295,13 +275,12 @@ def _certificate(
     m: int,
     r: int | None,
     bound: int,
-    max_observed: int,
     lex_value: int,
-    extremal_count: int,
     scan: CellScan,
-    exceeds,
-    budget: int,
+    observed,
 ) -> SharpnessCertificate:
+    """``observed`` reads (maximum, graphs attaining it) off a CellScan."""
+    max_observed, extremal_count = observed(scan)
     cert = SharpnessCertificate(
         kind=kind,
         n=n,
@@ -314,7 +293,7 @@ def _certificate(
         graphs_checked=scan.graphs_checked,
     )
     if not cert.valid:
-        witness = _find_counterexample(n, m, exceeds, budget)
+        witness = _find_counterexample(n, m, observed, bound)
         cert = replace(cert, counterexample=witness)
     return cert
 
@@ -324,8 +303,6 @@ def verify_alpha_sharp(
     m: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    pool=None,
-    chunks: int | None = None,
     scan: CellScan | None = None,
 ) -> SharpnessCertificate:
     """Certify the independence-number bound against every graph of the
@@ -335,21 +312,16 @@ def verify_alpha_sharp(
     certificates.
     """
     if scan is None:
-        scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
-    bound = alpha_upper(n, m)
-    lex_profile = _lex_profile(n, m)
+        scan = scan_cell(n, m, budget=budget)
     return _certificate(
         "alpha",
         n,
         m,
         None,
-        bound,
-        scan.max_alpha,
-        lex_profile.alpha(),
-        scan.alpha_count,
+        alpha_upper(n, m),
+        _lex_profile(n, m).alpha(),
         scan,
-        lambda prof: prof.alpha() > bound,
-        budget,
+        lambda s: (s.max_alpha, s.alpha_count),
     )
 
 
@@ -359,8 +331,6 @@ def verify_ir_sharp(
     r: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    pool=None,
-    chunks: int | None = None,
     scan: CellScan | None = None,
 ) -> SharpnessCertificate:
     """Certify the size-r independent-set count bound for the cell.
@@ -371,21 +341,16 @@ def verify_ir_sharp(
     if not 2 <= r <= n:
         raise DomainError(f"verify_ir_sharp requires 2 <= r <= n, got r={r}")
     if scan is None:
-        scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
-    bound = ir_upper_lex(n, m, r)
-    lex_profile = _lex_profile(n, m)
+        scan = scan_cell(n, m, budget=budget)
     return _certificate(
         "ir",
         n,
         m,
         r,
-        bound,
-        scan.max_ir[r],
-        lex_profile.size_count(r),
-        scan.ir_count[r],
+        ir_upper_lex(n, m, r),
+        _lex_profile(n, m).size_count(r),
         scan,
-        lambda prof: prof.size_count(r) > bound,
-        budget,
+        lambda s: (s.max_ir[r], s.ir_count[r]),
     )
 
 
@@ -394,15 +359,13 @@ def verify_total_count_extremality(
     m: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    pool=None,
-    chunks: int | None = None,
     scan: CellScan | None = None,
 ) -> SharpnessCertificate:
     """Certify that the lex graph maximizes the total independent-set
     count over the cell.  The reference value is the lex graph's own
     total, so valid means no graph beats it."""
     if scan is None:
-        scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
+        scan = scan_cell(n, m, budget=budget)
     lex_total = _lex_profile(n, m).total()
     return _certificate(
         "total",
@@ -410,12 +373,9 @@ def verify_total_count_extremality(
         m,
         None,
         lex_total,
-        scan.max_total,
         lex_total,
-        scan.total_count,
         scan,
-        lambda prof: prof.total() > lex_total,
-        budget,
+        lambda s: (s.max_total, s.total_count),
     )
 
 
@@ -497,10 +457,10 @@ def verify_range(
                 if emit is not None:
                     emit(record.as_dict())
                 continue
-            cell_certs = [verify_alpha_sharp(n, m, budget=budget, scan=scan)]
+            cell_certs = [verify_alpha_sharp(n, m, scan=scan)]
             for r in range(2, min(r_max, n) + 1):
-                cell_certs.append(verify_ir_sharp(n, m, r, budget=budget, scan=scan))
-            cell_certs.append(verify_total_count_extremality(n, m, budget=budget, scan=scan))
+                cell_certs.append(verify_ir_sharp(n, m, r, scan=scan))
+            cell_certs.append(verify_total_count_extremality(n, m, scan=scan))
             for cert in cell_certs:
                 certificates.append(cert)
                 if emit is not None:

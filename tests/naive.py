@@ -48,6 +48,18 @@ def naive_maximum_independent_sets(g: Graph) -> tuple[int, set[frozenset[int]]]:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
+def for_each_graph(n: int, m: int, visitor) -> int:
+    """Deliver every labeled graph on [n] with m edges to ``visitor``, once
+    each, in lex order of the edge combinations.  Returns the number of
+    graphs visited."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    visited = 0
+    for edges in combinations(pairs, m):
+        visitor(Graph.from_edges(n, edges))
+        visited += 1
+    return visited
+
+
 def naive_clique_count(g: Graph, r: int) -> int:
     verts = range(1, g.n + 1)
     return sum(1 for subset in combinations(verts, r) if is_clique(g, subset))

@@ -20,8 +20,7 @@ from lexext import (
     sds_decompose,
 )
 from lexext import bounds
-from naive import naive_clique_count
-from lexext.verify import for_each_graph
+from naive import for_each_graph, naive_clique_count
 
 
 class TestAlphaUpper:

@@ -1,11 +1,14 @@
 """Command-line behavior: exact output bytes, exit codes, determinism."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+from lexext import verify
 from lexext.cli import main
 
 LEX56_EDGELIST = "5 6\n1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n"
@@ -226,6 +229,48 @@ class TestVerify:
     def test_bad_jobs(self, capsys):
         code, _, _ = run(capsys, "verify", "--n-max", "3", "--jobs", "0")
         assert code == 1
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        # a stand-in pool records the processes asked for and maps in-process,
+        # so no value here ever starts a worker
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        _, expected, _ = run(capsys, "verify", "--n-max", "4", "--r-max", "3")
+        for cpus, pools in ((2, [2]), (1, []), (None, [])):
+            requested.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, out, _ = run(
+                capsys, "verify", "--n-max", "4", "--r-max", "3", "--jobs", "100000"
+            )
+            assert code == 0
+            assert requested == pools
+            assert out == expected
+
+    def test_failed_bound_exits_one_with_counterexamples(self, capsys, monkeypatch):
+        real = verify.alpha_upper
+        monkeypatch.setattr(verify, "alpha_upper", lambda n, m: real(n, m) - 1)
+        code, out, _ = run(capsys, "verify", "--n-max", "4")
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[-1]["kind"] == "summary"
+        assert records[-1]["failures"] > 0
+        failed = [r for r in records[:-1] if not r["ok"]]
+        assert len(failed) == records[-1]["failures"]
+        assert all("counterexample" in r for r in failed)
 
 
 class TestTable:

@@ -19,14 +19,37 @@ from lexext import (
     verify_range,
     verify_total_count_extremality,
 )
-from lexext import _core_py
+from lexext import _core_py, verify
 from lexext.verify import (
     CellScan,
     _find_counterexample,
-    for_each_graph,
     scan_cell,
 )
-from naive import naive_profile
+from naive import for_each_graph, naive_profile
+
+# what each certificate kind reads off a scan, and off a naive profile
+KINDS = {
+    "alpha": (
+        lambda s: (s.max_alpha, s.alpha_count),
+        lambda counts: max(r for r, c in enumerate(counts) if c),
+    ),
+    "ir2": (lambda s: (s.max_ir[2], s.ir_count[2]), lambda counts: counts[2]),
+    "ir3": (lambda s: (s.max_ir[3], s.ir_count[3]), lambda counts: counts[3]),
+    "total": (lambda s: (s.max_total, s.total_count), sum),
+}
+
+
+def naive_first_witness(n, m, value, bound):
+    """Edges of the first graph in lex combination order whose naive
+    value exceeds bound."""
+    found = []
+
+    def visit(g):
+        if not found and value(naive_profile(g)) > bound:
+            found.append(tuple(g.edges()))
+
+    for_each_graph(n, m, visit)
+    return found[0]
 
 
 class TestPairSlots:
@@ -113,12 +136,15 @@ class TestForEachGraph:
                 assert for_each_graph(n, m, lambda g: None) == graph_count(n, m)
 
     def test_budget_refusal(self):
+        # the package enumerates only through scan_cell; its budget is
+        # inclusive, and the count it requires is the oracle's visit count
+        visited = for_each_graph(5, 6, lambda g: None)
+        assert scan_cell(5, 6, budget=visited).graphs_checked == visited
         with pytest.raises(BudgetExceededError) as info:
-            for_each_graph(7, 10, lambda g: None, budget=100)
+            scan_cell(5, 6, budget=visited - 1)
         err = info.value
-        assert (err.n, err.m) == (7, 10)
-        assert err.required == binom(21, 10)
-        assert err.budget == 100
+        assert (err.n, err.m) == (5, 6)
+        assert (err.required, err.budget) == (visited, visited - 1)
         assert str(err.required) in str(err)
 
 
@@ -187,8 +213,13 @@ class TestCellScan:
             a.merge(b)
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             scan_cell(7, 10, budget=1000)
+        err = info.value
+        assert (err.n, err.m) == (7, 10)
+        assert err.required == binom(21, 10)
+        assert err.budget == 1000
+        assert str(err.required) in str(err)
 
     def test_pool_scan_identical_to_sequential(self):
         sequential = [scan_cell(5, 6), scan_cell(6, 8)]
@@ -275,10 +306,42 @@ class TestCertificates:
 
     def test_counterexample_locator(self):
         # every one-edge graph on 4 vertices has five independent pairs
-        witness = _find_counterexample(4, 1, lambda prof: prof.size_count(2) > 4, 10**6)
+        witness = _find_counterexample(4, 1, KINDS["ir2"][0], 4)
         assert witness == ((1, 2),)
-        none_found = _find_counterexample(4, 1, lambda prof: prof.size_count(2) > 5, 10**6)
-        assert none_found is None
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n, m", [(5, 6), (6, 7)])
+    def test_counterexample_is_first_naive_witness(self, kind, n, m):
+        observed, value = KINDS[kind]
+        bound = observed(scan_cell(n, m))[0] - 1
+        witness = _find_counterexample(n, m, observed, bound)
+        assert witness == naive_first_witness(n, m, value, bound)
+
+    def test_bisection_finds_a_witness_anywhere(self, monkeypatch):
+        # A stand-in kernel gives each graph an "alpha" of 1 if its rank is a
+        # witness and 0 otherwise, so witnesses sit where the test puts them
+        # (in a real cell the lex graph, rank 0, attains every maximum).
+        n, m = 5, 3
+        combos = list(combinations(range(binom(n, 2)), m))
+        rank_of = {c: i for i, c in enumerate(combos)}
+        slots = pair_slots(n)
+        for witnesses in ({0}, {1}, {119}, {37, 80}, {64, 65, 119}):
+
+            def fake_scan(n_, m_, first, steps):
+                lo = rank_of[tuple(first)]
+                alpha = max(int(i in witnesses) for i in range(lo, lo + steps))
+                return steps, alpha, 0, [0] * (n + 1), [0] * (n + 1), 0, 0
+
+            monkeypatch.setattr(verify._kernels, "scan_graph_range", fake_scan)
+            witness = _find_counterexample(n, m, KINDS["alpha"][0], 0)
+            assert witness == tuple(slots[i] for i in combos[min(witnesses)])
+
+    def test_failed_certificate_carries_counterexample(self, monkeypatch):
+        monkeypatch.setattr(verify, "ir_upper_lex", lambda n, m, r: 3)
+        cert = verify_ir_sharp(6, 9, 3)
+        assert (cert.max_observed, cert.valid) == (4, False)
+        assert cert.counterexample == tuple(build_lex_graph(6, 9).edges())
+        assert cert.as_dict()["counterexample"] == [list(e) for e in cert.counterexample]
 
 
 class TestVerifyRange:
