@@ -99,7 +99,7 @@ def _next_combination(combo: list[int], p: int) -> bool:
 
 
 def scan_graph_range(n: int, m: int, first_combo, steps: int):
-    """Visit ``steps`` consecutive m-edge graphs and reduce their profiles.
+    """Visit ``steps`` consecutive m-edge graphs and fold their profiles.
 
     Graphs are m-combinations of the lex-ordered vertex-pair slots, in
     lexicographic combination order starting from ``first_combo``.
@@ -110,9 +110,8 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
 
     where max_ir[r] is the largest size-r independent-set count seen over
     the visited graphs, the *_count entries say how many graphs attained
-    each maximum, and max_total reduces the per-graph totals.  The reduce
-    is associative, so disjoint rank ranges merge by taking maxima and
-    summing counts on ties.
+    each maximum, and max_total is the largest per-graph total.  A range
+    may start at any rank, so a counterexample search can bisect a cell.
     """
     pairs = _pair_slots(n)
     combo = list(first_combo)

@@ -137,14 +137,7 @@ def cmd_verify(args) -> int:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            summary = verify_range(
-                n_max,
-                r_max,
-                budget=budget,
-                pool=pool,
-                chunks=4 * jobs,
-                emit=emit,
-            )
+            summary = verify_range(n_max, r_max, budget=budget, pool=pool, emit=emit)
     print(json.dumps(summary.as_dict()))
     if summary.failures:
         return 1

@@ -11,14 +11,19 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would visit more graphs than allowed."""
 
     def __init__(self, n: int, m: int, required: int, budget: int) -> None:
-        super().__init__(
-            f"enumerating all graphs with n={n}, m={m} needs {required} "
-            f"graphs, budget is {budget}"
-        )
+        # args holds every value, so pickle rebuilds the error when it
+        # crosses from a pool worker back to its parent
+        super().__init__(n, m, required, budget)
         self.n = n
         self.m = m
         self.required = required
         self.budget = budget
+
+    def __str__(self) -> str:
+        return (
+            f"enumerating all graphs with n={self.n}, m={self.m} needs "
+            f"{self.required} graphs, budget is {self.budget}"
+        )
 
 
 class FormatError(ValueError):

@@ -2,10 +2,8 @@
 
 A cell is a pair (n, m).  Its graphs are the m-combinations of the
 C(n, 2) lex-ordered vertex-pair slots, visited in lex combination order,
-so enumeration is deterministic and a cell can be split into contiguous
-rank ranges for parallel scanning.  Each range reduces to elementwise
-maxima with tie counts; ranges merge associatively, so the merged result
-is identical no matter how the cell was partitioned.
+so enumeration is deterministic and a scan can start at any rank.  A
+scan folds the graphs it visits into elementwise maxima with tie counts.
 
 Certificates compare the scanned maxima against the closed-form bounds
 and against the lex graph's own counts.  Validity (no graph beats the
@@ -18,6 +16,10 @@ kernel scan: of a range known to hold a witness, the left half is kept
 when its scanned maximum beats the bound, the right half otherwise.
 That costs at most about one more scan of the cell.
 
+The cell is also the unit of parallel work: verify_range hands whole
+cells to a pool and takes their records back in cell order, so the
+output is the same with or without a pool.
+
 Cells larger than the budget are refused up front with the exact graph
 count required, never silently truncated.
 """
@@ -25,7 +27,7 @@ count required, never silently truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import _kernels
 from .arith import binom
@@ -80,20 +82,12 @@ def unrank_combination(p: int, m: int, rank: int) -> tuple[int, ...]:
     return tuple(combo)
 
 
-def _max_with_ties(a: int, a_count: int, b: int, b_count: int) -> tuple[int, int]:
-    """The larger of two maxima with its tie count; equal maxima add counts."""
-    if a == b:
-        return a, a_count + b_count
-    return (a, a_count) if a > b else (b, b_count)
-
-
 @dataclass(frozen=True)
 class CellScan:
     """Reduction of one (n, m) cell: maxima with tie counts.
 
-    max_ir and ir_count are indexed by set size r = 0..n.  Two scans of
-    disjoint rank ranges of the same cell merge exactly: maxima combine
-    by max, counts add when the maxima tie.
+    max_ir and ir_count are indexed by set size r = 0..n.  Each count
+    says how many scanned graphs attain its maximum.
     """
 
     n: int
@@ -121,72 +115,19 @@ class CellScan:
             total_count=int(total_count),
         )
 
-    def merge(self, other: "CellScan") -> "CellScan":
-        if (self.n, self.m) != (other.n, other.m):
-            raise DomainError("cannot merge scans of different cells")
-        max_ir, ir_count = zip(
-            *map(_max_with_ties, self.max_ir, self.ir_count, other.max_ir, other.ir_count)
-        )
-        max_alpha, alpha_count = _max_with_ties(
-            self.max_alpha, self.alpha_count, other.max_alpha, other.alpha_count
-        )
-        max_total, total_count = _max_with_ties(
-            self.max_total, self.total_count, other.max_total, other.total_count
-        )
-        return CellScan(
-            n=self.n,
-            m=self.m,
-            graphs_checked=self.graphs_checked + other.graphs_checked,
-            max_alpha=max_alpha,
-            alpha_count=alpha_count,
-            max_ir=max_ir,
-            ir_count=ir_count,
-            max_total=max_total,
-            total_count=total_count,
-        )
-
-
-def _scan_chunk(args):
-    # top-level so multiprocessing can pickle it; a worker sends back the
-    # kernel's raw tuple, which pickles cheaper than a CellScan
-    n, m, lo, steps = args
-    first = unrank_combination(binom(n, 2), m, lo)
-    return _kernels.scan_graph_range(n, m, first, steps)
-
 
 def _scan_range(n: int, m: int, lo: int, steps: int) -> CellScan:
     """Scan the graphs of ranks lo .. lo + steps - 1 of the cell."""
-    return CellScan.from_raw(n, m, _scan_chunk((n, m, lo, steps)))
+    first = unrank_combination(binom(n, 2), m, lo)
+    return CellScan.from_raw(n, m, _kernels.scan_graph_range(n, m, first, steps))
 
 
-def scan_cell(
-    n: int,
-    m: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    pool=None,
-    chunks: int | None = None,
-) -> CellScan:
-    """Scan every graph of the cell and reduce to a CellScan.
-
-    With a multiprocessing pool the combination space is split into
-    contiguous rank ranges and merged; the result is identical to the
-    sequential scan.
-    """
+def scan_cell(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> CellScan:
+    """Scan every graph of the cell into one CellScan."""
     total = graph_count(n, m)
     if total > budget:
         raise BudgetExceededError(n, m, required=total, budget=budget)
-    if chunks is None:
-        chunks = 1 if pool is None else 16
-    chunks = max(1, min(chunks, total))
-    if pool is None or chunks == 1:
-        scan = _scan_range(n, m, 0, total)
-    else:
-        # chunks <= total, so every range is non-empty
-        cuts = [i * total // chunks for i in range(chunks + 1)]
-        tasks = [(n, m, lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-        parts = [CellScan.from_raw(n, m, raw) for raw in pool.map(_scan_chunk, tasks)]
-        scan = reduce(CellScan.merge, parts)
+    scan = _scan_range(n, m, 0, total)
     if scan.graphs_checked != total:
         raise AssertionError(
             f"cell ({n},{m}) scanned {scan.graphs_checked} graphs, expected {total}"
@@ -425,46 +366,52 @@ class VerificationSummary:
         }
 
 
+def _verify_cell(task) -> list:
+    # module-level so a pool can pickle it by name; private, so tools that
+    # wrap the package's public functions leave it picklable
+    n, m, r_max, budget = task
+    try:
+        scan = scan_cell(n, m, budget=budget)
+    except BudgetExceededError as exc:
+        return [SkippedCell(n=n, m=m, required=exc.required, budget=exc.budget)]
+    return [
+        verify_alpha_sharp(n, m, scan=scan),
+        *(verify_ir_sharp(n, m, r, scan=scan) for r in range(2, min(r_max, n) + 1)),
+        verify_total_count_extremality(n, m, scan=scan),
+    ]
+
+
 def verify_range(
     n_max: int,
     r_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
     pool=None,
-    chunks: int | None = None,
     emit=None,
 ) -> VerificationSummary:
     """Run all three certificate kinds for every cell n <= n_max, every
     m, every r in [2, min(r_max, n)], skipping cells over budget.
 
-    Each cell is scanned once and shared across its certificates.  When
-    ``emit`` is given it receives each certificate and skip record as a
-    dict, in deterministic cell order, as soon as it is produced.
+    Each cell is scanned once and shared across its certificates.  With a
+    multiprocessing ``pool`` whole cells run in its workers; ``imap``
+    returns them in cell order, so the records are the same either way.
+    When ``emit`` is given it receives each certificate and skip record
+    as a dict, in cell order, as soon as its cell is done.
     """
     if n_max < 1:
         raise DomainError(f"verify_range requires n_max >= 1, got {n_max}")
     if r_max < 2:
         raise DomainError(f"verify_range requires r_max >= 2, got {r_max}")
+    tasks = [
+        (n, m, r_max, budget) for n in range(1, n_max + 1) for m in range(binom(n, 2) + 1)
+    ]
     certificates = []
     skipped = []
-    for n in range(1, n_max + 1):
-        for m in range(binom(n, 2) + 1):
-            try:
-                scan = scan_cell(n, m, budget=budget, pool=pool, chunks=chunks)
-            except BudgetExceededError as exc:
-                record = SkippedCell(n=n, m=m, required=exc.required, budget=exc.budget)
-                skipped.append(record)
-                if emit is not None:
-                    emit(record.as_dict())
-                continue
-            cell_certs = [verify_alpha_sharp(n, m, scan=scan)]
-            for r in range(2, min(r_max, n) + 1):
-                cell_certs.append(verify_ir_sharp(n, m, r, scan=scan))
-            cell_certs.append(verify_total_count_extremality(n, m, scan=scan))
-            for cert in cell_certs:
-                certificates.append(cert)
-                if emit is not None:
-                    emit(cert.as_dict())
+    for records in (map if pool is None else pool.imap)(_verify_cell, tasks):
+        for record in records:
+            (skipped if isinstance(record, SkippedCell) else certificates).append(record)
+            if emit is not None:
+                emit(record.as_dict())
     return VerificationSummary(
         n_max=n_max,
         r_max=r_max,

@@ -245,8 +245,8 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return list(map(fn, tasks))
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         _, expected, _ = run(capsys, "verify", "--n-max", "4", "--r-max", "3")

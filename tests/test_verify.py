@@ -1,6 +1,7 @@
 """Exhaustive cell scanning, partitioning, and certificate logic."""
 
 import multiprocessing
+import pickle
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lexext import (
     BudgetExceededError,
     DomainError,
+    FormatError,
     binom,
     build_lex_graph,
     graph_count,
@@ -19,7 +21,7 @@ from lexext import (
     verify_range,
     verify_total_count_extremality,
 )
-from lexext import _core_py, verify
+from lexext import verify
 from lexext.verify import (
     CellScan,
     _find_counterexample,
@@ -192,26 +194,6 @@ class TestCellScan:
         for n, m in [(4, 3), (5, 6), (5, 2), (4, 0), (4, 6)]:
             assert scan_cell(n, m) == self.scan_naively(n, m)
 
-    def test_merge_of_split_ranges_equals_full(self):
-        total = graph_count(5, 6)
-        p = binom(5, 2)
-        full = scan_cell(5, 6)
-        for cut in (1, 37, 105, 209):
-            left = CellScan.from_raw(
-                5, 6, _core_py.scan_graph_range(5, 6, unrank_combination(p, 6, 0), cut)
-            )
-            right = CellScan.from_raw(
-                5, 6, _core_py.scan_graph_range(5, 6, unrank_combination(p, 6, cut), total - cut)
-            )
-            assert left.merge(right) == full
-            assert right.merge(left) == full
-
-    def test_merge_rejects_mismatched_cells(self):
-        a = scan_cell(4, 2)
-        b = scan_cell(4, 3)
-        with pytest.raises(DomainError):
-            a.merge(b)
-
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as info:
             scan_cell(7, 10, budget=1000)
@@ -220,15 +202,6 @@ class TestCellScan:
         assert err.required == binom(21, 10)
         assert err.budget == 1000
         assert str(err.required) in str(err)
-
-    def test_pool_scan_identical_to_sequential(self):
-        sequential = [scan_cell(5, 6), scan_cell(6, 8)]
-        with multiprocessing.Pool(2) as pool:
-            parallel = [
-                scan_cell(5, 6, pool=pool, chunks=7),
-                scan_cell(6, 8, pool=pool, chunks=16),
-            ]
-        assert parallel == sequential
 
 
 class TestCertificates:
@@ -393,8 +366,45 @@ class TestVerifyRange:
             verify_range(4, 1)
 
     def test_parallel_equals_sequential(self):
-        sequential = verify_range(4, 3)
+        # a budget of 100 skips some n=5 cells, so skip records cross the pool too
+        sequential, parallel = [], []
+        expected = verify_range(5, 3, budget=100, emit=sequential.append)
         with multiprocessing.Pool(2) as pool:
-            parallel = verify_range(4, 3, pool=pool, chunks=8)
-        assert parallel.certificates == sequential.certificates
-        assert parallel.skipped == sequential.skipped
+            got = verify_range(5, 3, budget=100, pool=pool, emit=parallel.append)
+        assert expected.skipped
+        assert parallel == sequential
+        assert got == expected
+
+    def test_pool_gets_one_task_per_cell_in_order(self):
+        class RecordingPool:
+            def __init__(self):
+                self.tasks = []
+
+            def imap(self, fn, tasks):
+                for task in tasks:
+                    self.tasks.append(task)
+                    yield fn(task)
+
+            def map(self, fn, tasks):
+                raise AssertionError("verify_range must not call map")
+
+        pool = RecordingPool()
+        summary = verify_range(5, 3, budget=100, pool=pool)
+        cells = [(n, m) for n in range(1, 6) for m in range(binom(n, 2) + 1)]
+        assert [task[:2] for task in pool.tasks] == cells
+        assert summary.skipped
+        assert summary.cells_checked + len(summary.skipped) == len(cells)
+
+
+def test_errors_survive_pickle():
+    # a pool worker's error reaches its parent only through pickle; one that
+    # cannot be rebuilt kills the pool's result thread and hangs imap
+    for err in (
+        DomainError("bad cell"),
+        BudgetExceededError(7, 10, 352716, 1000),
+        FormatError("bad header", line=3),
+    ):
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is type(err)
+        assert str(copy) == str(err)
+        assert vars(copy) == vars(err)
