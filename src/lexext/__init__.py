@@ -2,10 +2,9 @@
 graphs with a given number of vertices and edges.
 
 The bounds are exact integers, attained by lex graphs, and verifiable by
-exhaustive enumeration at small order.  Counting kernels run on a
-compiled extension when it is available and fall back to pure Python; the
-selection is reported in KERNEL_BACKEND and can be pinned with the
-LEXEXT_BACKEND environment variable.
+exhaustive enumeration at small order.  Counting kernels run on the
+compiled extension when it imports and on pure Python otherwise;
+KERNEL_BACKEND reports which.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

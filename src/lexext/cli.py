@@ -7,7 +7,7 @@ sharpness certification), table (bound sweep over all m for one n).
 Output is machine-readable: JSON by default, CSV where a flag offers it,
 JSON lines for verify's certificate stream.  Exit codes: 0 success, 1
 domain or input error, 2 usage error, 3 verification incomplete under
---strict.
+--strict, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -25,26 +25,6 @@ from .errors import BudgetExceededError, DomainError, FormatError
 from .formats import EMITTERS, parse_document
 from .lexgraph import build_lex_graph
 from .verify import DEFAULT_BUDGET, verify_range
-
-BUDGET_ENV = "LEXEXT_BUDGET"
-
-
-def resolve_budget(flag_value: int | None) -> int:
-    """--budget beats the LEXEXT_BUDGET environment variable beats the
-    built-in default."""
-    if flag_value is not None:
-        budget = flag_value
-    elif os.environ.get(BUDGET_ENV):
-        raw = os.environ[BUDGET_ENV]
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise DomainError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    else:
-        budget = DEFAULT_BUDGET
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    return budget
 
 
 def _csv_row(record: dict) -> str:
@@ -93,16 +73,25 @@ def cmd_lex(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    if args.input == "-":
-        text = sys.stdin.read()
+def _read_input(path: str) -> str:
+    if path == "-":
+        # a text stream with no bytes under it (a StringIO) is already text
+        if not hasattr(sys.stdin, "buffer"):
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(args.input, "r", encoding="ascii") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
-            raise DomainError(f"cannot read {args.input}: {exc}") from None
-    g = parse_document(text, args.format).graph
+            raise DomainError(f"cannot read {path}: {exc}") from None
+    # each non-ASCII byte becomes U+FFFD, which the parsers reject at the
+    # line or byte that holds it
+    return data.decode("ascii", errors="replace")
+
+
+def cmd_count(args) -> int:
+    g = parse_document(_read_input(args.input), args.format).graph
     if g.n > MAX_ORDER:
         raise DomainError(f"counting is limited to order <= {MAX_ORDER}, got n={g.n}")
     profile = independence_profile(g)
@@ -120,7 +109,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = resolve_budget(args.budget)
+    if args.budget < 1:
+        raise DomainError(f"budget must be >= 1, got {args.budget}")
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     # more workers than CPUs only add start-up cost; output is the same
@@ -132,12 +122,14 @@ def cmd_verify(args) -> int:
         print(json.dumps(record))
 
     if jobs == 1:
-        summary = verify_range(n_max, r_max, budget=budget, emit=emit)
+        summary = verify_range(n_max, r_max, budget=args.budget, emit=emit)
     else:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            summary = verify_range(n_max, r_max, budget=budget, pool=pool, emit=emit)
+            summary = verify_range(
+                n_max, r_max, budget=args.budget, pool=pool, emit=emit
+            )
     print(json.dumps(summary.as_dict()))
     if summary.failures:
         return 1
@@ -218,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help=f"max graphs per cell (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
+        default=DEFAULT_BUDGET,
+        help=f"max graphs per cell (default {DEFAULT_BUDGET})",
     )
     p_verify.add_argument(
         "--jobs",
@@ -250,10 +242,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe early shows here, not at exit
+        sys.stdout.flush()
+        return code
     except (DomainError, FormatError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has what it wanted: stop quietly with 128 + SIGPIPE, the
+        # status a shell shows for a writer the signal killed, and point
+        # stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

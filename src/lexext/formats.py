@@ -2,9 +2,10 @@
 
 The edgelist format is the package's native one: first line ``n m``,
 then one ``u v`` line per edge with 1 <= u < v <= n, space-separated,
-LF-terminated, edges in lex order.  graph6 follows the standard 6-bit
-upper-triangle encoding (vertices 0-indexed on the wire, translated at
-this boundary).  dot output is for rendering only and has no parser.
+LF-terminated, edges in lex order; every field is ASCII decimal digits.
+graph6 follows the standard 6-bit upper-triangle encoding (vertices
+0-indexed on the wire, translated at this boundary).  dot output is for
+rendering only and has no parser.
 
 Parsers raise FormatError carrying the offending line (edgelist) or byte
 position (graph6).
@@ -12,6 +13,7 @@ position (graph6).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .arith import binom
@@ -22,6 +24,7 @@ GRAPH6_HEADER = ">>graph6<<"
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_MAX = (1 << 36) - 1
+_NOT_DIGIT_OR_SPACE = re.compile(r"[^0-9\s]")
 
 
 def emit_edgelist(g: Graph) -> str:
@@ -31,6 +34,14 @@ def emit_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
+    # fields are [0-9]+, checked in one pass over the text: int() alone
+    # would also take signs, underscores and non-ASCII digits such as U+0662
+    bad = _NOT_DIGIT_OR_SPACE.search(text)
+    if bad:
+        raise FormatError(
+            f"field not an ASCII decimal: {bad.group()!r}",
+            line=text.count("\n", 0, bad.start()) + 1,
+        )
     lines = text.split("\n")
     # trailing blank lines are fine, blank lines elsewhere are not
     while lines and lines[-1].strip() == "":
@@ -44,18 +55,11 @@ def parse_edgelist(text: str) -> Graph:
             raise FormatError(
                 f"expected {expected} fields, got {len(parts)}", line=line_no
             )
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise FormatError(
-                f"non-integer field in {lines[line_no - 1]!r}", line=line_no
-            ) from None
+        return [int(p) for p in parts]
 
     n, m = ints(1, 2)
     if n < 1:
         raise FormatError(f"order must be >= 1, got {n}", line=1)
-    if m < 0:
-        raise FormatError(f"edge count must be >= 0, got {m}", line=1)
     if len(lines) != 1 + m:
         raise FormatError(
             f"header says {m} edges but {len(lines) - 1} edge lines follow",

@@ -75,6 +75,12 @@ class TestEdgelist:
             parse_edgelist("3 1\n1 4\n")
         with pytest.raises(FormatError, match="line 3"):
             parse_edgelist("3 2\n1 2\n1 2\n")
+        # fields are [0-9]+, though int() takes each of these
+        for field in ("+2", "-2", "0_2", "\u0662", "\uff12"):
+            with pytest.raises(FormatError, match="line 2: field not an ASCII decimal"):
+                parse_edgelist(f"3 1\n1 {field}\n")
+        with pytest.raises(FormatError, match="line 1: field not an ASCII decimal"):
+            parse_edgelist("3 -1\n")
 
     def test_edge_count_mismatch(self):
         with pytest.raises(FormatError, match="2 edges but 1"):

@@ -14,6 +14,7 @@ import pytest
 
 import lexext
 from lexext import _core_py, _kernels, binom
+from lexext.cli import main
 from lexext.verify import graph_count, unrank_combination
 
 
@@ -27,9 +28,6 @@ def random_adj(n: int, rng) -> list[int]:
     return adj
 
 
-# the directory holding the imported lexext package, so a child interpreter
-# imports the same copy whether or not the package is installed
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(lexext.__file__)))
 C_SOURCE = Path(lexext.__file__).with_name("_core_c.c")
 
 
@@ -67,62 +65,36 @@ def core_c(tmp_path_factory):
 
 
 class TestBackendSelection:
-    @staticmethod
-    def child_env(backend: str) -> dict[str, str]:
-        # a minimal env, so no inherited LEXEXT_* variable reaches the child
-        return {
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": PACKAGE_ROOT,
-            "LEXEXT_BACKEND": backend,
-        }
-
     def test_backend_reported(self):
         assert _kernels.BACKEND in ("c", "python")
 
-    def test_env_pins_pure(self):
-        code = "import lexext; print(lexext.KERNEL_BACKEND)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=self.child_env("python"),
-            timeout=60,
-        )
-        assert out.stdout.strip() == "python"
-
-    def test_env_rejects_unknown(self):
-        code = "import lexext"
-        for backend in ("rust", "cython"):
-            out = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=self.child_env(backend),
-                timeout=60,
-            )
-            assert out.returncode != 0
-            assert "LEXEXT_BACKEND" in out.stderr
-
-    def test_env_pins_missing_c_kernel(self, tmp_path):
+    def test_without_extension_pure_kernel_prints_same_stream(self, capsys, tmp_path):
         # a copy of the package's Python files only, so the C kernel is
         # missing whether or not the extension is built in the source tree
         package = tmp_path / "lexext"
         package.mkdir()
         for source in Path(lexext.__file__).parent.glob("*.py"):
             shutil.copy(source, package)
-        env = {**self.child_env("c"), "PYTHONPATH": str(tmp_path)}
-        out = subprocess.run(
-            [sys.executable, "-c", "import lexext"],
+        code = (
+            "import sys, lexext, lexext.cli\n"
+            "print(lexext.KERNEL_BACKEND, lexext.__file__)\n"
+            "sys.exit(lexext.cli.main(['verify', '--n-max', '6']))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=env,
-            timeout=60,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            timeout=120,
         )
-        assert out.returncode != 0
-        last = out.stderr.strip().splitlines()[-1]
-        assert last.startswith("ImportError:")
-        assert "LEXEXT_BACKEND" in last and "lexext._core_c" in last
-        assert "direct cause of the following exception" in out.stderr
+        assert child.returncode == 0, child.stderr
+        header, stream = child.stdout.split("\n", 1)
+        backend, path = header.split(" ", 1)
+        assert backend == "python"
+        assert Path(path).parent == package
+        assert main(["verify", "--n-max", "6"]) == 0
+        assert stream == capsys.readouterr().out
 
 
 class TestKernelAgreement:
