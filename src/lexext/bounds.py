@@ -41,6 +41,10 @@ def _cell(n: int, m: int):
     callers' cross-checks compare two derivations, not one.  One entry
     is cached because callers walk r (or certificates) inside one cell;
     an invalid cell raises on every call, as exceptions are not cached.
+
+    Every function taking a cell checks it here alone: the bounds here,
+    lexgraph's build_lex_graph, lex_neighborhood and
+    lex_maximum_independent_sets, and verify's graph_count (every scan).
     """
     if n < 1:
         raise DomainError(f"cell (n, m) requires n >= 1, got n={n}")

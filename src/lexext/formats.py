@@ -8,7 +8,9 @@ graph6 follows the standard 6-bit upper-triangle encoding (vertices
 rendering only and has no parser.
 
 Parsers raise FormatError carrying the offending line (edgelist) or byte
-position (graph6).
+position (graph6).  A parser checks its text once, in reading order, so
+the first bad line or byte is reported, and hands the rows it built to
+Graph, whose check of the rows is the only other one.
 """
 
 from __future__ import annotations
@@ -65,20 +67,18 @@ def parse_edgelist(text: str) -> Graph:
             f"header says {m} edges but {len(lines) - 1} edge lines follow",
             line=len(lines),
         )
-    edges = []
+    rows = [0] * n
     for line_no in range(2, 2 + m):
         u, v = ints(line_no, 2)
         if not 1 <= u < v <= n:
             raise FormatError(
                 f"edge ({u}, {v}) violates 1 <= u < v <= {n}", line=line_no
             )
-        edges.append((u, v))
-    seen = set()
-    for line_no, e in enumerate(edges, start=2):
-        if e in seen:
-            raise FormatError(f"duplicate edge ({e[0]}, {e[1]})", line=line_no)
-        seen.add(e)
-    return Graph.from_edges(n, edges)
+        if (rows[u - 1] >> (v - 1)) & 1:
+            raise FormatError(f"duplicate edge ({u}, {v})", line=line_no)
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
+    return Graph(n, tuple(rows))
 
 
 def _g6_encode_order(n: int) -> str:
@@ -151,20 +151,20 @@ def parse_graph6(text: str) -> Graph:
             f"byte {len(text)}: expected {nbytes} data bytes for n={n}, "
             f"got {len(text) - pos}"
         )
+    data = [_g6_value(text, p) for p in range(pos, len(text))]
+    if nbytes and data[-1] & ((1 << (6 * nbytes - nbits)) - 1):
+        raise FormatError(f"byte {len(text) - 1}: nonzero padding bits")
+    bits = "".join(f"{v:06b}" for v in data)
     adj = [0] * n
-    bit_index = 0
     for j in range(1, n):
-        for i in range(j):
-            v = _g6_value(text, pos + bit_index // 6)
-            if (v >> (5 - bit_index % 6)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit_index += 1
-    if nbytes:
-        last = _g6_value(text, pos + nbytes - 1)
-        pad = 6 * nbytes - nbits
-        if last & ((1 << pad) - 1):
-            raise FormatError(f"byte {pos + nbytes - 1}: nonzero padding bits")
+        # upper triangle, column major: column j is x(0,j) .. x(j-1,j),
+        # so reversed it is row j's mask of the vertices before j
+        column = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        adj[j] = column
+        while column:
+            lsb = column & -column
+            adj[lsb.bit_length() - 1] |= 1 << j
+            column ^= lsb
     return Graph(n, tuple(adj))
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arith import binom
+from .bounds import _cell
 from .errors import DomainError
-from .sds import sds_decompose
 
 # Vertex sets are immutable so they can key dicts and land in frozen
 # dataclasses; members are the 1-indexed vertex labels.
@@ -137,12 +136,7 @@ def build_lex_graph(n: int, m: int) -> Graph:
     Runs in O(n + m): pairs {i, i+1}, ..., {i, n} are emitted for
     i = 1, 2, ... until m edges are placed.
     """
-    if n < 1:
-        raise DomainError(f"build_lex_graph requires n >= 1, got {n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(
-            f"build_lex_graph requires 0 <= m <= C(n,2) = {binom(n, 2)}, got m={m}"
-        )
+    _cell(n, m)
     rows = [0] * n
     left = m
     i = 1
@@ -168,9 +162,9 @@ def lex_neighborhood(n: int, m: int, i: int) -> VertexSet:
     """
     if not 1 <= i <= n:
         raise DomainError(f"vertex {i} outside 1..{n}")
-    if m < 1:
+    d, _ = _cell(n, m)
+    if d is None:
         raise DomainError("lex_neighborhood requires m >= 1; an edgeless graph has empty neighborhoods")
-    d = sds_decompose(n, m)
     k, p_k = d.k, d.p_k
     if i < k:
         return frozenset(v for v in range(1, n + 1) if v != i)
@@ -219,9 +213,9 @@ def lex_maximum_independent_sets(n: int, m: int) -> list[VertexSet]:
     sets leading.  Every returned set is re-verified to be independent
     and dominating against the explicit construction.
     """
-    if not 1 <= m:
+    d, _ = _cell(n, m)
+    if d is None:
         raise DomainError("lex_maximum_independent_sets requires m >= 1")
-    d = sds_decompose(n, m)
     k, p_k = d.k, d.p_k
     if n - k == 1:
         # complete graph; n >= 2 here since m >= 1 needs n >= 2

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from . import _kernels
 from .arith import binom
-from .bounds import alpha_upper, ir_upper_lex
+from .bounds import _cell, alpha_upper, ir_upper_lex
 from .counting import independence_profile
 from .errors import BudgetExceededError, DomainError
 from .lexgraph import build_lex_graph
@@ -49,10 +49,7 @@ def pair_slots(n: int) -> tuple[tuple[int, int], ...]:
 
 def graph_count(n: int, m: int) -> int:
     """Number of labeled simple graphs on [n] with exactly m edges."""
-    if n < 1:
-        raise DomainError(f"graph_count requires n >= 1, got n={n}")
-    if not 0 <= m <= binom(n, 2):
-        raise DomainError(f"graph_count requires 0 <= m <= C(n,2), got m={m}")
+    _cell(n, m)
     return binom(binom(n, 2), m)
 
 
@@ -221,6 +218,8 @@ def _certificate(
     observed,
 ) -> SharpnessCertificate:
     """``observed`` reads (maximum, graphs attaining it) off a CellScan."""
+    if (scan.n, scan.m) != (n, m):
+        raise DomainError(f"scan of cell ({scan.n},{scan.m}) passed for cell ({n},{m})")
     max_observed, extremal_count = observed(scan)
     cert = SharpnessCertificate(
         kind=kind,
@@ -249,8 +248,8 @@ def verify_alpha_sharp(
     """Certify the independence-number bound against every graph of the
     cell, and that the lex graph attains the maximum.
 
-    Pass a precomputed ``scan`` to amortize one cell scan across several
-    certificates.
+    Pass a precomputed ``scan`` of the same cell to amortize one cell
+    scan across several certificates.
     """
     if scan is None:
         scan = scan_cell(n, m, budget=budget)

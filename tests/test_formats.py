@@ -75,6 +75,9 @@ class TestEdgelist:
             parse_edgelist("3 1\n1 4\n")
         with pytest.raises(FormatError, match="line 3"):
             parse_edgelist("3 2\n1 2\n1 2\n")
+        # the duplicate on line 3 comes before the range error on line 4
+        with pytest.raises(FormatError, match="line 3"):
+            parse_edgelist("3 3\n1 2\n1 2\n1 4\n")
         # fields are [0-9]+, though int() takes each of these
         for field in ("+2", "-2", "0_2", "\u0662", "\uff12"):
             with pytest.raises(FormatError, match="line 2: field not an ASCII decimal"):

@@ -18,6 +18,7 @@ from lexext import (
     lex_neighborhood,
     sds_decompose,
 )
+from lexext import bounds
 from naive import naive_maximum_independent_sets
 
 
@@ -205,6 +206,22 @@ class TestMaximumIndependentSets:
                     assert len(s) == n - k
                     assert is_independent_set(g, s)
                     assert is_dominating_set(g, s)
+
+
+def test_lex_functions_decompose_each_cell_once(monkeypatch):
+    calls = []
+
+    def counted(n, m):
+        calls.append((n, m))
+        return sds_decompose(n, m)
+
+    build_lex_graph(9, 10)  # another cell, so (9, 11) is not cached
+    monkeypatch.setattr(bounds, "sds_decompose", counted)
+    g = build_lex_graph(9, 11)
+    for i in range(1, 10):
+        assert lex_neighborhood(9, 11, i) == g.neighbors(i)
+    assert lex_maximum_independent_sets(9, 11) == [frozenset(range(3, 10))]
+    assert calls == [(9, 11)]
 
 
 class TestSetPredicates:

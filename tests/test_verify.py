@@ -270,6 +270,15 @@ class TestCertificates:
         b = verify_alpha_sharp(5, 6)
         assert a == b
 
+    def test_scan_of_another_cell_rejected(self):
+        scan = scan_cell(4, 3)
+        with pytest.raises(DomainError, match=r"scan of cell \(4,3\)"):
+            verify_alpha_sharp(5, 6, scan=scan)
+        with pytest.raises(DomainError, match=r"scan of cell \(4,3\)"):
+            verify_ir_sharp(6, 9, 3, scan=scan)
+        with pytest.raises(DomainError, match=r"scan of cell \(4,3\)"):
+            verify_total_count_extremality(4, 4, scan=scan)
+
     def test_as_dict_shape(self):
         d = verify_alpha_sharp(4, 3).as_dict()
         assert d["kind"] == "alpha"
