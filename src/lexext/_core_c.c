@@ -3,8 +3,9 @@
  * Semantics match lexext._core_py exactly; that module is the readable
  * reference.  Orders up to MAX_ORDER are supported so every adjacency
  * bitmask fits one 64-bit word and every count fits a signed 64-bit
- * integer.  All working storage is fixed-size and on the stack, and the
- * interpreter lock is released around the recursions.
+ * integer; weighted counts are summed with overflow checks besides.  All
+ * working storage is fixed-size and on the stack, and the interpreter
+ * lock is released around the recursions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -169,17 +170,91 @@ max_independent_size(PyObject *self, PyObject *args, PyObject *kwargs)
     return PyLong_FromLong(best);
 }
 
-/* Fold one count into a running maximum and the number of its ties. */
+/* Running maxima of a scan's profiles, each with the weight of the
+ * graphs that attain it, and the weight of all graphs folded.  A sum that
+ * would pass INT64_MAX sets overflow instead of wrapping. */
+struct fold {
+    int n, overflow;
+    int64_t checked, max_alpha, alpha_count, max_total, total_count;
+    int64_t max_ir[MAX_ORDER + 1], ir_count[MAX_ORDER + 1];
+};
+
 static void
-reduce_max(int64_t value, int64_t *max, int64_t *ties)
+fold_init(struct fold *f, int n)
+{
+    f->n = n;
+    f->overflow = 0;
+    f->checked = f->alpha_count = f->total_count = 0;
+    f->max_alpha = f->max_total = -1;
+    for (int r = 0; r <= n; r++) {
+        f->max_ir[r] = -1;
+        f->ir_count[r] = 0;
+    }
+}
+
+/* Fold one value into a running maximum and the weight of its ties. */
+static void
+reduce_max(struct fold *f, int64_t value, int64_t weight, int64_t *max, int64_t *ties)
 {
     if (value > *max) {
         *max = value;
-        *ties = 1;
+        *ties = weight;
     }
-    else if (value == *max) {
-        (*ties)++;
+    else if (value == *max && __builtin_add_overflow(*ties, weight, ties)) {
+        f->overflow = 1;
     }
+}
+
+/* Profile one graph and fold it in with its weight. */
+static void
+fold_graph(struct fold *f, const uint64_t *adj, int64_t weight)
+{
+    int n = f->n;
+    int64_t counts[MAX_ORDER + 1];
+
+    memset(counts, 0, (n + 1) * sizeof *counts);
+    profile_rec(adj, ((uint64_t)1 << n) - 1, 0, counts);
+    int64_t total = 0, alpha = 0;
+    for (int r = 0; r <= n; r++) {
+        total += counts[r];
+        if (counts[r])
+            alpha = r;
+        reduce_max(f, counts[r], weight, &f->max_ir[r], &f->ir_count[r]);
+    }
+    reduce_max(f, alpha, weight, &f->max_alpha, &f->alpha_count);
+    reduce_max(f, total, weight, &f->max_total, &f->total_count);
+    if (__builtin_add_overflow(f->checked, weight, &f->checked))
+        f->overflow = 1;
+}
+
+static PyObject *
+fold_result(const struct fold *f)
+{
+    if (f->overflow) {
+        PyErr_SetString(PyExc_OverflowError, "a weighted count passed 2**63 - 1");
+        return NULL;
+    }
+    return Py_BuildValue("(LLLNNLL)", (long long)f->checked, (long long)f->max_alpha,
+                         (long long)f->alpha_count, int64_seq(f->max_ir, f->n + 1, 0),
+                         int64_seq(f->ir_count, f->n + 1, 0), (long long)f->max_total,
+                         (long long)f->total_count);
+}
+
+/* Check the (n, m) of a cell; 0 on success, -1 with an exception set. */
+static int
+check_cell(int n, int m)
+{
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compiled kernel supports 1 <= n <= " Py_STRINGIFY(MAX_ORDER));
+        return -1;
+    }
+    int p = n * (n - 1) / 2;
+    if (m < 0 || m > p) {
+        PyErr_Format(PyExc_ValueError, "m=%d outside 0..%d", m, p);
+        return -1;
+    }
+    return 0;
 }
 
 static PyObject *
@@ -188,22 +263,16 @@ scan_graph_range(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"n", "m", "first_combo", "steps", NULL};
     int n, m;
     PyObject *first;
-    long long steps, checked = 0;
+    long long steps;
     int pu[MAX_PAIRS], pv[MAX_PAIRS], combo[MAX_PAIRS];
     uint64_t adj[MAX_ORDER];
-    int64_t counts[MAX_ORDER + 1], max_ir[MAX_ORDER + 1], ir_count[MAX_ORDER + 1];
-    int64_t max_alpha = -1, alpha_count = 0, max_total = -1, total_count = 0;
+    struct fold f;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOL", kwlist, &n, &m, &first, &steps))
         return NULL;
-    if (n < 1 || n > MAX_ORDER) {
-        PyErr_SetString(PyExc_ValueError,
-                        "compiled kernel supports 1 <= n <= " Py_STRINGIFY(MAX_ORDER));
+    if (check_cell(n, m) < 0)
         return NULL;
-    }
     int p = n * (n - 1) / 2;
-    if (m < 0 || m > p)
-        return PyErr_Format(PyExc_ValueError, "m=%d outside 0..%d", m, p);
     Py_ssize_t len = PyObject_Length(first);
     if (len < 0)
         return NULL;
@@ -231,39 +300,172 @@ scan_graph_range(PyObject *self, PyObject *args, PyObject *kwargs)
             pv[i] = v;
         }
     }
-    for (int r = 0; r <= n; r++) {
-        max_ir[r] = -1;
-        ir_count[r] = 0;
-    }
+    fold_init(&f, n);
 
     Py_BEGIN_ALLOW_THREADS
-    while (checked < steps) {
+    while (f.checked < steps) {
         memset(adj, 0, n * sizeof *adj);
         for (int i = 0; i < m; i++) {
             int u = pu[combo[i]], v = pv[combo[i]];
             adj[u] |= (uint64_t)1 << v;
             adj[v] |= (uint64_t)1 << u;
         }
-        memset(counts, 0, (n + 1) * sizeof *counts);
-        profile_rec(adj, ((uint64_t)1 << n) - 1, 0, counts);
-        int64_t total = 0, alpha = 0;
-        for (int r = 0; r <= n; r++) {
-            total += counts[r];
-            if (counts[r])
-                alpha = r;
-            reduce_max(counts[r], &max_ir[r], &ir_count[r]);
-        }
-        reduce_max(alpha, &max_alpha, &alpha_count);
-        reduce_max(total, &max_total, &total_count);
-        checked++;
-        if (checked < steps && !next_combo(combo, m, p))
+        fold_graph(&f, adj, 1);
+        if (f.checked < steps && !next_combo(combo, m, p))
             break;
     }
     Py_END_ALLOW_THREADS
 
-    return Py_BuildValue("(LLLNNLL)", checked, (long long)max_alpha, (long long)alpha_count,
-                         int64_seq(max_ir, n + 1, 0), int64_seq(ir_count, n + 1, 0),
-                         (long long)max_total, (long long)total_count);
+    return fold_result(&f);
+}
+
+/* The degree-sorted search of scan_sorted; _core_py.scan_sorted is its
+ * readable reference, with the same rows, bounds and weights. */
+struct sorted_search {
+    int n, m;
+    uint64_t adj[MAX_ORDER];
+    int deg[MAX_ORDER];
+    struct fold fold;
+};
+
+/* Once row u is placed, with e edges in all: every later degree is at
+ * most deg(u), and the later vertices' gain of 2(m - e) is at least what
+ * keeps their degrees sorted and at most what deg(u) and the room allow. */
+static int
+row_done(const struct sorted_search *s, int u, int e)
+{
+    int n = s->n, d = s->deg[u];
+    int top = 0, lower = 0, upper = 0;
+    for (int w = n - 1; w > u; w--) {
+        int dw = s->deg[w];
+        if (dw > d)
+            return 0;
+        if (dw > top)
+            top = dw;
+        lower += top - dw;
+        upper += d - dw < n - 2 - u ? d - dw : n - 2 - u;
+    }
+    int gain = 2 * (s->m - e);
+    return lower <= gain && gain <= upper;
+}
+
+/* n!/prod(c_d!) for the blocks of equal degree of a sorted graph, as a
+ * product of binomials; 0 if it would pass INT64_MAX. */
+static int64_t
+class_weight(const int *deg, int n)
+{
+    int64_t weight = 1;
+    for (int i = 0, left = n; i < n;) {
+        int j = i + 1;
+        while (j < n && deg[j] == deg[i])
+            j++;
+        if (__builtin_mul_overflow(weight, PASCAL[left][j - i], &weight))
+            return 0;
+        left -= j - i;
+        i = j;
+    }
+    return weight;
+}
+
+/* Vertex u picks its neighbours among u+1..n-1, degree at most cap =
+ * deg(u-1), with e edges placed so far. */
+static void
+sorted_row(struct sorted_search *s, int u, int cap, int e)
+{
+    int n = s->n, m = s->m;
+    if (u == n - 1) {
+        int64_t weight = class_weight(s->deg, n);
+        if (weight == 0)
+            s->fold.overflow = 1;
+        else
+            fold_graph(&s->fold, s->adj, weight);
+        return;
+    }
+    int free_v[MAX_ORDER], combo[MAX_ORDER], nfree = 0, top = 0;
+    for (int v = u + 1; v < n; v++) {
+        if (s->deg[v] < cap)
+            free_v[nfree++] = v;
+        if (s->deg[v] > top)
+            top = s->deg[v];
+    }
+    int k = n - 1 - u;
+    int lo = m - e - k * (k - 1) / 2;
+    if (top - s->deg[u] > lo)
+        lo = top - s->deg[u];
+    if (lo < 0)
+        lo = 0;
+    int hi = nfree;
+    if (cap - s->deg[u] < hi)
+        hi = cap - s->deg[u];
+    if (m - e < hi)
+        hi = m - e;
+    for (int size = lo; size <= hi; size++) {
+        for (int i = 0; i < size; i++)
+            combo[i] = i;
+        do {
+            uint64_t row = 0;
+            for (int i = 0; i < size; i++) {
+                int v = free_v[combo[i]];
+                row |= (uint64_t)1 << v;
+                s->adj[v] |= (uint64_t)1 << u;
+                s->deg[v]++;
+            }
+            s->adj[u] |= row;
+            s->deg[u] += size;
+            if (row_done(s, u, e + size))
+                sorted_row(s, u + 1, s->deg[u], e + size);
+            s->deg[u] -= size;
+            s->adj[u] &= ~row;
+            for (int i = 0; i < size; i++) {
+                int v = free_v[combo[i]];
+                s->adj[v] &= ~((uint64_t)1 << u);
+                s->deg[v]--;
+            }
+        } while (next_combo(combo, size, nfree));
+    }
+}
+
+/* C(p, m) <= INT64_MAX, so that every weight and sum of the cell fits. */
+static int
+count_fits(int p, int m)
+{
+    int k = m < p - m ? m : p - m;
+    unsigned __int128 c = 1;
+    for (int i = 0; i < k; i++) {
+        /* C(p, i + 1) from C(p, i); exact, and increasing while i < k */
+        c = c * (unsigned)(p - i) / (unsigned)(i + 1);
+        if (c > INT64_MAX)
+            return 0;
+    }
+    return 1;
+}
+
+static PyObject *
+scan_sorted(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "m", NULL};
+    int n, m;
+    struct sorted_search s;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii", kwlist, &n, &m))
+        return NULL;
+    if (check_cell(n, m) < 0)
+        return NULL;
+    int p = n * (n - 1) / 2;
+    if (!count_fits(p, m))
+        return PyErr_Format(PyExc_OverflowError, "cell (%d,%d) has C(%d,%d) > 2**63 - 1 graphs",
+                            n, m, p, m);
+    s.n = n;
+    s.m = m;
+    memset(s.adj, 0, sizeof s.adj);
+    memset(s.deg, 0, sizeof s.deg);
+    fold_init(&s.fold, n);
+
+    Py_BEGIN_ALLOW_THREADS
+    sorted_row(&s, 0, n - 1, 0);
+    Py_END_ALLOW_THREADS
+
+    return fold_result(&s.fold);
 }
 
 static PyMethodDef methods[] = {
@@ -276,6 +478,9 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Reduce profiles over a rank range of m-edge graphs.\n\n"
      "Same contract and return shape as _core_py.scan_graph_range."},
+    {"scan_sorted", (PyCFunction)(void (*)(void))scan_sorted, METH_VARARGS | METH_KEYWORDS,
+     "Reduce weighted profiles over the degree-sorted graphs of a cell.\n\n"
+     "Same contract and return shape as _core_py.scan_sorted."},
     {NULL, NULL, 0, NULL},
 };
 

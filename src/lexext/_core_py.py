@@ -10,7 +10,12 @@ any number of threads or worker processes.
 
 from __future__ import annotations
 
-from math import comb
+from collections import Counter
+from itertools import combinations
+from math import comb, factorial
+
+# the largest count the compiled kernel's int64 arithmetic holds
+INT64_MAX = 2**63 - 1
 
 
 def profile_counts(adj, n: int) -> list[int]:
@@ -98,6 +103,57 @@ def _next_combination(combo: list[int], p: int) -> bool:
     return True
 
 
+class _Fold:
+    """Running maxima of a scan's profiles, each with the weight of the
+    graphs that attain it, and the weight of all graphs folded."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.checked = 0
+        self.max_alpha = -1
+        self.alpha_count = 0
+        self.max_ir = [-1] * (n + 1)
+        self.ir_count = [0] * (n + 1)
+        self.max_total = -1
+        self.total_count = 0
+
+    def add(self, adj, weight: int) -> None:
+        counts = profile_counts(adj, self.n)
+        total = 0
+        alpha = 0
+        for r, c in enumerate(counts):
+            total += c
+            if c:
+                alpha = r
+            if c > self.max_ir[r]:
+                self.max_ir[r] = c
+                self.ir_count[r] = weight
+            elif c == self.max_ir[r]:
+                self.ir_count[r] += weight
+        if alpha > self.max_alpha:
+            self.max_alpha = alpha
+            self.alpha_count = weight
+        elif alpha == self.max_alpha:
+            self.alpha_count += weight
+        if total > self.max_total:
+            self.max_total = total
+            self.total_count = weight
+        elif total == self.max_total:
+            self.total_count += weight
+        self.checked += weight
+
+    def result(self):
+        return (
+            self.checked,
+            self.max_alpha,
+            self.alpha_count,
+            tuple(self.max_ir),
+            tuple(self.ir_count),
+            self.max_total,
+            self.total_count,
+        )
+
+
 def scan_graph_range(n: int, m: int, first_combo, steps: int):
     """Visit ``steps`` consecutive m-edge graphs and fold their profiles.
 
@@ -116,52 +172,88 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
     pairs = _pair_slots(n)
     combo = list(first_combo)
     adj = [0] * n
-    max_alpha = -1
-    alpha_count = 0
-    max_ir = [-1] * (n + 1)
-    ir_count = [0] * (n + 1)
-    max_total = -1
-    total_count = 0
-    checked = 0
-    while checked < steps:
+    fold = _Fold(n)
+    while fold.checked < steps:
         for i in range(n):
             adj[i] = 0
         for slot in combo:
             u, v = pairs[slot]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        counts = profile_counts(adj, n)
-        total = 0
-        alpha = 0
-        for r in range(n + 1):
-            c = counts[r]
-            total += c
-            if c:
-                alpha = r
-            if c > max_ir[r]:
-                max_ir[r] = c
-                ir_count[r] = 1
-            elif c == max_ir[r]:
-                ir_count[r] += 1
-        if alpha > max_alpha:
-            max_alpha = alpha
-            alpha_count = 1
-        elif alpha == max_alpha:
-            alpha_count += 1
-        if total > max_total:
-            max_total = total
-            total_count = 1
-        elif total == max_total:
-            total_count += 1
-        checked += 1
-        if checked < steps and not _next_combination(combo, len(pairs)):
+        fold.add(adj, 1)
+        if fold.checked < steps and not _next_combination(combo, len(pairs)):
             break
-    return (
-        checked,
-        max_alpha,
-        alpha_count,
-        tuple(max_ir),
-        tuple(ir_count),
-        max_total,
-        total_count,
-    )
+    return fold.result()
+
+
+def scan_sorted(n: int, m: int):
+    """Fold the profiles of every m-edge graph on n vertices, visiting only
+    the degree-sorted ones, each weighted by the labeled graphs it stands
+    for.  Returns what scan_graph_range returns for the whole cell.
+
+    A graph is degree-sorted when deg(0) >= deg(1) >= ... >= deg(n-1).
+    Every graph has a degree-sorted relabeling, and every profile entry
+    is an isomorphism invariant, so each maximum is attained on a sorted
+    graph.  A sorted graph G stays sorted exactly under the relabelings
+    that permute its blocks of equal degree, and Aut G lies among them,
+    so by orbit-stabilizer G stands for n!/prod(c_d!) labeled graphs,
+    where c_d counts its vertices of degree d.  Ties add these weights,
+    and ``checked``, their sum, is C(C(n,2), m).
+
+    The search runs row by row over the lex-ordered slots: vertex u picks
+    its neighbours among u+1..n-1, after which deg(u) is final and caps
+    every later degree.  It prunes on edge count and on those caps, so a
+    sparse or dense cell of a large order stays polynomial.  A cell whose
+    count exceeds 2**63 - 1 is refused with OverflowError, as the
+    compiled kernel's int64 counts could not hold it.
+    """
+    p = n * (n - 1) // 2
+    if n < 1 or not 0 <= m <= p:
+        raise ValueError(f"cell ({n},{m}) outside n >= 1, 0 <= m <= {p}")
+    if comb(p, m) > INT64_MAX:
+        raise OverflowError(f"cell ({n},{m}) has C({p},{m}) > 2**63 - 1 graphs")
+    adj = [0] * n
+    deg = [0] * n
+    fold = _Fold(n)
+
+    def row_done(u: int, e: int) -> bool:
+        # later vertices gain 2(m - e) degree in all: at least enough to
+        # keep the degrees sorted, at most what deg(u) and the room allow
+        d = deg[u]
+        top = lower = upper = 0
+        for w in range(n - 1, u, -1):
+            if deg[w] > d:
+                return False
+            top = max(top, deg[w])
+            lower += top - deg[w]
+            upper += min(d - deg[w], n - 2 - u)
+        return lower <= 2 * (m - e) <= upper
+
+    def row(u: int, cap: int, e: int) -> None:
+        if u == n - 1:
+            weight = factorial(n)
+            for c in Counter(deg).values():
+                weight //= factorial(c)
+            fold.add(adj, weight)
+            return
+        later = range(u + 1, n)
+        free = [v for v in later if deg[v] < cap]
+        lo = max(0, m - e - comb(n - 1 - u, 2), max(deg[v] for v in later) - deg[u])
+        hi = min(len(free), cap - deg[u], m - e)
+        for size in range(lo, hi + 1):
+            for chosen in combinations(free, size):
+                for v in chosen:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    deg[v] += 1
+                deg[u] += size
+                if row_done(u, e + size):
+                    row(u + 1, deg[u], e + size)
+                deg[u] -= size
+                for v in chosen:
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
+                    deg[v] -= 1
+
+    row(0, n - 1, 0)
+    return fold.result()

@@ -36,3 +36,9 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
     if _compiled is not None and n <= MAX_ORDER:
         return _compiled.scan_graph_range(n, m, first_combo, steps)
     return _core_py.scan_graph_range(n, m, first_combo, steps)
+
+
+def scan_sorted(n: int, m: int):
+    if _compiled is not None and n <= MAX_ORDER:
+        return _compiled.scan_sorted(n, m)
+    return _core_py.scan_sorted(n, m)

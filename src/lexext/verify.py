@@ -1,27 +1,35 @@
 """Exhaustive sharpness verification over all labeled graphs of a cell.
 
-A cell is a pair (n, m).  Its graphs are the m-combinations of the
-C(n, 2) lex-ordered vertex-pair slots, visited in lex combination order,
-so enumeration is deterministic and a scan can start at any rank.  A
-scan folds the graphs it visits into elementwise maxima with tie counts.
+A cell is a pair (n, m): the C(C(n,2), m) labeled graphs on n vertices
+with m edges.  A scan folds them into elementwise maxima of their
+independent-set counts, each with the number of graphs attaining it.
+
+The scan profiles only the degree-sorted graphs, those labeled with
+deg(1) >= ... >= deg(n).  Every graph has such a relabeling and every
+profile entry is an isomorphism invariant, so each maximum is reached on
+one.  A sorted graph with c_d vertices of degree d stands for exactly
+n!/prod(c_d!) labeled graphs; ties add these weights, so tie counts and
+graphs_checked still count labeled graphs, and the weights of a cell
+must sum to C(C(n,2), m).
 
 Certificates compare the scanned maxima against the closed-form bounds
 and against the lex graph's own counts.  Validity (no graph beats the
 bound) and sharpness (some graph meets it, the lex graph among them) are
 recorded separately so a failure says precisely what broke.
 
-A failed certificate carries the first graph in enumeration order that
-beats its bound.  It is found by bisecting rank ranges with the same
-kernel scan: of a range known to hold a witness, the left half is kept
-when its scanned maximum beats the bound, the right half otherwise.
-That costs at most about one more scan of the cell.
+A failed certificate carries the first labeled graph that beats its
+bound, in lex order of the m-combinations of the C(n, 2) lex-ordered
+vertex-pair slots.  It is found by bisecting rank ranges with the
+labeled kernel scan: of a range known to hold a witness, the left half
+is kept when its scanned maximum beats the bound, the right half
+otherwise.  That costs at most about one labeled scan of the cell.
 
 The cell is also the unit of parallel work: verify_range hands whole
 cells to a pool and takes their records back in cell order, so the
 output is the same with or without a pool.
 
-Cells larger than the budget are refused up front with the exact graph
-count required, never silently truncated.
+Cells larger than the budget, counted in labeled graphs, are refused up
+front with the exact graph count required, never silently truncated.
 """
 
 from __future__ import annotations
@@ -120,14 +128,23 @@ def _scan_range(n: int, m: int, lo: int, steps: int) -> CellScan:
 
 
 def scan_cell(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> CellScan:
-    """Scan every graph of the cell into one CellScan."""
+    """Fold every graph of the cell into one CellScan, profiling only its
+    degree-sorted graphs.
+
+    Each sorted graph counts with the weight n!/prod(c_d!) of the labeled
+    graphs it stands for, c_d being its number of vertices of degree d,
+    so graphs_checked and every tie count are labeled-graph counts, the
+    same as a scan of every labeled graph would give.  The weights must
+    sum to the cell's C(C(n,2), m) labeled graphs.  The budget is in
+    labeled graphs too.
+    """
     total = graph_count(n, m)
     if total > budget:
         raise BudgetExceededError(n, m, required=total, budget=budget)
-    scan = _scan_range(n, m, 0, total)
+    scan = CellScan.from_raw(n, m, _kernels.scan_sorted(n, m))
     if scan.graphs_checked != total:
         raise AssertionError(
-            f"cell ({n},{m}) scanned {scan.graphs_checked} graphs, expected {total}"
+            f"cell ({n},{m}) weights sum to {scan.graphs_checked}, expected {total}"
         )
     return scan
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import lexext
 from lexext import _core_py, _kernels, binom
 from lexext.cli import main
-from lexext.verify import graph_count, unrank_combination
+from lexext.verify import CellScan, graph_count, scan_cell, unrank_combination
 
 
 def random_adj(n: int, rng) -> list[int]:
@@ -154,6 +155,59 @@ class TestKernelAgreement:
         for slot in (-1, 10):
             with pytest.raises(ValueError):
                 core_c.scan_graph_range(5, 3, (0, 1, slot), 1)
+
+
+def labeled_scan(scan_graph_range, n, m):
+    """The whole cell (n, m) through a labeled rank-range scan."""
+    return tuple(scan_graph_range(n, m, tuple(range(m)), graph_count(n, m)))
+
+
+class TestSortedScan:
+    """scan_sorted must fold to exactly what a scan of every labeled graph
+    of the cell folds to: maxima, weighted tie counts and graphs checked."""
+
+    def test_kernels_agree_with_labeled_scan_to_order_six(self, core_c):
+        for n in range(1, 7):
+            for m in range(binom(n, 2) + 1):
+                labeled = labeled_scan(_core_py.scan_graph_range, n, m)
+                assert tuple(_core_py.scan_sorted(n, m)) == labeled, (n, m)
+                assert core_c.scan_sorted(n, m) == labeled, (n, m)
+
+    def test_compiled_agrees_with_labeled_scan_at_order_seven(self):
+        try:
+            from lexext import _core_c
+        except ImportError:
+            pytest.skip("C kernel not built: the labeled scan of all 2**21 order-7 graphs is left to it")
+        for m in range(binom(7, 2) + 1):
+            assert _core_c.scan_sorted(7, m) == labeled_scan(_core_c.scan_graph_range, 7, m)
+
+    @pytest.mark.parametrize("n, m", [(30, 2), (30, 433), (62, 1), (62, 1890)])
+    def test_sparse_and_dense_cells_of_large_orders(self, core_c, n, m):
+        # the search must prune on edge count and degree caps: row 0 of
+        # (30, 2) alone has 2**29 neighbour sets.  The labeled reference
+        # is what verify._scan_range(n, m, 0, total) returns, compiled.
+        assert scan_cell(n, m) == CellScan.from_raw(
+            n, m, labeled_scan(core_c.scan_graph_range, n, m)
+        )
+
+    @pytest.mark.parametrize("m", [10, 945, 1881])
+    def test_refuses_counts_past_int64_up_front(self, core_c, m):
+        # C(1891, m) > 2**63 - 1: no weight or sum of these cells fits
+        for kernel in (core_c, _core_py):
+            start = time.perf_counter()
+            with pytest.raises(OverflowError):
+                kernel.scan_sorted(62, m)
+            assert time.perf_counter() - start < 1.0
+
+    def test_rejects_cells_outside_its_range(self, core_c):
+        for n, m in [(0, 0), (5, -1), (5, 11)]:
+            with pytest.raises(ValueError):
+                core_c.scan_sorted(n, m)
+            with pytest.raises(ValueError):
+                _core_py.scan_sorted(n, m)
+        # only the compiled kernel has an order cap
+        with pytest.raises(ValueError):
+            core_c.scan_sorted(63, 0)
 
 
 class TestPureKernelShapes:
