@@ -65,7 +65,6 @@ from .verify import (
     graph_count,
     pair_slots,
     scan_cell,
-    unrank_combination,
     verify_alpha_sharp,
     verify_ir_sharp,
     verify_range,
@@ -119,7 +118,6 @@ __all__ = [
     "VerificationSummary",
     "pair_slots",
     "graph_count",
-    "unrank_combination",
     "scan_cell",
     "verify_alpha_sharp",
     "verify_ir_sharp",

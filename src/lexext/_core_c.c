@@ -171,12 +171,16 @@ max_independent_size(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 /* Running maxima of a scan's profiles, each with the weight of the
- * graphs that attain it, and the weight of all graphs folded.  A sum that
- * would pass INT64_MAX sets overflow instead of wrapping. */
+ * graphs that attain it and the adjacency rows of the first graph folded
+ * that reached it, and the weight of all graphs folded.  A sum that would
+ * pass INT64_MAX sets overflow instead of wrapping.  Rows have bits 0..61
+ * only, so they are held as int64_t like the counts. */
 struct fold {
     int n, overflow;
     int64_t checked, max_alpha, alpha_count, max_total, total_count;
     int64_t max_ir[MAX_ORDER + 1], ir_count[MAX_ORDER + 1];
+    int64_t alpha_witness[MAX_ORDER], total_witness[MAX_ORDER];
+    int64_t ir_witness[MAX_ORDER + 1][MAX_ORDER];
 };
 
 static void
@@ -192,13 +196,16 @@ fold_init(struct fold *f, int n)
     }
 }
 
-/* Fold one value into a running maximum and the weight of its ties. */
+/* Fold one value of graph adj into a running maximum, the weight of its
+ * ties and its witness; a tie keeps the earlier witness. */
 static void
-reduce_max(struct fold *f, int64_t value, int64_t weight, int64_t *max, int64_t *ties)
+reduce_max(struct fold *f, const uint64_t *adj, int64_t value, int64_t weight, int64_t *max,
+           int64_t *ties, int64_t *witness)
 {
     if (value > *max) {
         *max = value;
         *ties = weight;
+        memcpy(witness, adj, f->n * sizeof *adj);
     }
     else if (value == *max && __builtin_add_overflow(*ties, weight, ties)) {
         f->overflow = 1;
@@ -219,25 +226,43 @@ fold_graph(struct fold *f, const uint64_t *adj, int64_t weight)
         total += counts[r];
         if (counts[r])
             alpha = r;
-        reduce_max(f, counts[r], weight, &f->max_ir[r], &f->ir_count[r]);
+        reduce_max(f, adj, counts[r], weight, &f->max_ir[r], &f->ir_count[r], f->ir_witness[r]);
     }
-    reduce_max(f, alpha, weight, &f->max_alpha, &f->alpha_count);
-    reduce_max(f, total, weight, &f->max_total, &f->total_count);
+    reduce_max(f, adj, alpha, weight, &f->max_alpha, &f->alpha_count, f->alpha_witness);
+    reduce_max(f, adj, total, weight, &f->max_total, &f->total_count, f->total_witness);
     if (__builtin_add_overflow(f->checked, weight, &f->checked))
         f->overflow = 1;
 }
 
+/* The seven reduction fields of a fold, followed by its witnesses when
+ * `witnesses` is set: the rows for alpha, a tuple of the rows for each r,
+ * and the rows for the total. */
 static PyObject *
-fold_result(const struct fold *f)
+fold_result(const struct fold *f, int witnesses)
 {
     if (f->overflow) {
         PyErr_SetString(PyExc_OverflowError, "a weighted count passed 2**63 - 1");
         return NULL;
     }
-    return Py_BuildValue("(LLLNNLL)", (long long)f->checked, (long long)f->max_alpha,
-                         (long long)f->alpha_count, int64_seq(f->max_ir, f->n + 1, 0),
-                         int64_seq(f->ir_count, f->n + 1, 0), (long long)f->max_total,
-                         (long long)f->total_count);
+    PyObject *alpha_w = NULL, *ir_w = NULL, *total_w = NULL;
+    if (witnesses) {
+        alpha_w = int64_seq(f->alpha_witness, f->n, 0);
+        total_w = int64_seq(f->total_witness, f->n, 0);
+        ir_w = PyTuple_New(f->n + 1);
+        for (int r = 0; ir_w != NULL && r <= f->n; r++) {
+            PyObject *rows = int64_seq(f->ir_witness[r], f->n, 0);
+            if (rows == NULL)
+                Py_CLEAR(ir_w);
+            else
+                PyTuple_SET_ITEM(ir_w, r, rows);
+        }
+    }
+    /* the shorter format leaves the three NULL witnesses unread */
+    return Py_BuildValue(witnesses ? "(LLLNNLLNNN)" : "(LLLNNLL)", (long long)f->checked,
+                         (long long)f->max_alpha, (long long)f->alpha_count,
+                         int64_seq(f->max_ir, f->n + 1, 0), int64_seq(f->ir_count, f->n + 1, 0),
+                         (long long)f->max_total, (long long)f->total_count, alpha_w, ir_w,
+                         total_w);
 }
 
 /* Check the (n, m) of a cell; 0 on success, -1 with an exception set. */
@@ -316,7 +341,7 @@ scan_graph_range(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     Py_END_ALLOW_THREADS
 
-    return fold_result(&f);
+    return fold_result(&f, 0);
 }
 
 /* The degree-sorted search of scan_sorted; _core_py.scan_sorted is its
@@ -465,7 +490,7 @@ scan_sorted(PyObject *self, PyObject *args, PyObject *kwargs)
     sorted_row(&s, 0, n - 1, 0);
     Py_END_ALLOW_THREADS
 
-    return fold_result(&s.fold);
+    return fold_result(&s.fold, 1);
 }
 
 static PyMethodDef methods[] = {

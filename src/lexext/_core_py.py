@@ -105,17 +105,21 @@ def _next_combination(combo: list[int], p: int) -> bool:
 
 class _Fold:
     """Running maxima of a scan's profiles, each with the weight of the
-    graphs that attain it, and the weight of all graphs folded."""
+    graphs that attain it and the adjacency rows of the first graph folded
+    that reached it, and the weight of all graphs folded."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.checked = 0
         self.max_alpha = -1
         self.alpha_count = 0
+        self.alpha_witness = None
         self.max_ir = [-1] * (n + 1)
         self.ir_count = [0] * (n + 1)
+        self.ir_witness = [None] * (n + 1)
         self.max_total = -1
         self.total_count = 0
+        self.total_witness = None
 
     def add(self, adj, weight: int) -> None:
         counts = profile_counts(adj, self.n)
@@ -128,16 +132,19 @@ class _Fold:
             if c > self.max_ir[r]:
                 self.max_ir[r] = c
                 self.ir_count[r] = weight
+                self.ir_witness[r] = tuple(adj)
             elif c == self.max_ir[r]:
                 self.ir_count[r] += weight
         if alpha > self.max_alpha:
             self.max_alpha = alpha
             self.alpha_count = weight
+            self.alpha_witness = tuple(adj)
         elif alpha == self.max_alpha:
             self.alpha_count += weight
         if total > self.max_total:
             self.max_total = total
             self.total_count = weight
+            self.total_witness = tuple(adj)
         elif total == self.max_total:
             self.total_count += weight
         self.checked += weight
@@ -153,6 +160,9 @@ class _Fold:
             self.total_count,
         )
 
+    def witnesses(self):
+        return self.alpha_witness, tuple(self.ir_witness), self.total_witness
+
 
 def scan_graph_range(n: int, m: int, first_combo, steps: int):
     """Visit ``steps`` consecutive m-edge graphs and fold their profiles.
@@ -166,8 +176,9 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
 
     where max_ir[r] is the largest size-r independent-set count seen over
     the visited graphs, the *_count entries say how many graphs attained
-    each maximum, and max_total is the largest per-graph total.  A range
-    may start at any rank, so a counterexample search can bisect a cell.
+    each maximum, and max_total is the largest per-graph total.  It is
+    the labeled reference for scan_sorted, kept for the tests and for the
+    benchmark's kernel agreement check.
     """
     pairs = _pair_slots(n)
     combo = list(first_combo)
@@ -189,7 +200,10 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
 def scan_sorted(n: int, m: int):
     """Fold the profiles of every m-edge graph on n vertices, visiting only
     the degree-sorted ones, each weighted by the labeled graphs it stands
-    for.  Returns what scan_graph_range returns for the whole cell.
+    for.  Returns what scan_graph_range returns for the whole cell,
+    followed by three witnesses: the adjacency rows of the first graph in
+    search order that reaches max_alpha, a tuple of those for each
+    max_ir[r], and those for max_total.
 
     A graph is degree-sorted when deg(0) >= deg(1) >= ... >= deg(n-1).
     Every graph has a degree-sorted relabeling, and every profile entry
@@ -256,4 +270,4 @@ def scan_sorted(n: int, m: int):
                     deg[v] -= 1
 
     row(0, n - 1, 0)
-    return fold.result()
+    return fold.result() + fold.witnesses()

@@ -32,12 +32,6 @@ def max_independent_size(adj, n: int) -> int:
     return _core_py.max_independent_size(adj, n)
 
 
-def scan_graph_range(n: int, m: int, first_combo, steps: int):
-    if _compiled is not None and n <= MAX_ORDER:
-        return _compiled.scan_graph_range(n, m, first_combo, steps)
-    return _core_py.scan_graph_range(n, m, first_combo, steps)
-
-
 def scan_sorted(n: int, m: int):
     if _compiled is not None and n <= MAX_ORDER:
         return _compiled.scan_sorted(n, m)

@@ -17,12 +17,10 @@ and against the lex graph's own counts.  Validity (no graph beats the
 bound) and sharpness (some graph meets it, the lex graph among them) are
 recorded separately so a failure says precisely what broke.
 
-A failed certificate carries the first labeled graph that beats its
-bound, in lex order of the m-combinations of the C(n, 2) lex-ordered
-vertex-pair slots.  It is found by bisecting rank ranges with the
-labeled kernel scan: of a range known to hold a witness, the left half
-is kept when its scanned maximum beats the bound, the right half
-otherwise.  That costs at most about one labeled scan of the cell.
+A failed certificate carries a graph that beats its bound: the first
+degree-sorted graph, in the order the scan's search visits them, that
+reaches the scanned maximum.  The scan keeps one such witness for alpha,
+for each r and for the total, so a failure costs no second scan.
 
 The cell is also the unit of parallel work: verify_range hands whole
 cells to a pool and takes their records back in cell order, so the
@@ -34,7 +32,7 @@ front with the exact graph count required, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
@@ -42,7 +40,7 @@ from .arith import binom
 from .bounds import _cell, alpha_upper, ir_upper_lex
 from .counting import independence_profile
 from .errors import BudgetExceededError, DomainError
-from .lexgraph import build_lex_graph
+from .lexgraph import Graph, build_lex_graph
 
 DEFAULT_BUDGET = 10**7
 
@@ -61,38 +59,14 @@ def graph_count(n: int, m: int) -> int:
     return binom(binom(n, 2), m)
 
 
-def unrank_combination(p: int, m: int, rank: int) -> tuple[int, ...]:
-    """The rank-th m-combination of {0, ..., p-1} in lex order.
-
-    Lex order is the order in which the kernel's scan visits them; this
-    starts a scan at any rank without enumerating everything before it.
-    """
-    if p < 0 or m < 0 or m > p:
-        raise DomainError(f"unrank_combination needs 0 <= m <= p, got p={p}, m={m}")
-    total = binom(p, m)
-    if not 0 <= rank < total:
-        raise DomainError(f"rank {rank} outside [0, {total}) for C({p},{m})")
-    combo = []
-    x = 0
-    for i in range(m):
-        while True:
-            # combinations that fix x at position i and fill the rest freely
-            c = binom(p - x - 1, m - i - 1)
-            if rank < c:
-                combo.append(x)
-                x += 1
-                break
-            rank -= c
-            x += 1
-    return tuple(combo)
-
-
 @dataclass(frozen=True)
 class CellScan:
     """Reduction of one (n, m) cell: maxima with tie counts.
 
     max_ir and ir_count are indexed by set size r = 0..n.  Each count
-    says how many scanned graphs attain its maximum.
+    says how many scanned graphs attain its maximum, and each witness
+    holds the adjacency rows of the first sorted graph the search found
+    attaining it; ir_witness is indexed by r too.
     """
 
     n: int
@@ -104,10 +78,14 @@ class CellScan:
     ir_count: tuple[int, ...]
     max_total: int
     total_count: int
+    alpha_witness: tuple[int, ...]
+    ir_witness: tuple[tuple[int, ...], ...]
+    total_witness: tuple[int, ...]
 
     @classmethod
     def from_raw(cls, n: int, m: int, raw) -> "CellScan":
-        checked, max_alpha, alpha_count, max_ir, ir_count, max_total, total_count = raw
+        (checked, max_alpha, alpha_count, max_ir, ir_count, max_total, total_count,
+         alpha_witness, ir_witness, total_witness) = raw
         return cls(
             n=n,
             m=m,
@@ -118,13 +96,10 @@ class CellScan:
             ir_count=tuple(int(x) for x in ir_count),
             max_total=int(max_total),
             total_count=int(total_count),
+            alpha_witness=alpha_witness,
+            ir_witness=ir_witness,
+            total_witness=total_witness,
         )
-
-
-def _scan_range(n: int, m: int, lo: int, steps: int) -> CellScan:
-    """Scan the graphs of ranks lo .. lo + steps - 1 of the cell."""
-    first = unrank_combination(binom(n, 2), m, lo)
-    return CellScan.from_raw(n, m, _kernels.scan_graph_range(n, m, first, steps))
 
 
 def scan_cell(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> CellScan:
@@ -203,21 +178,6 @@ class SharpnessCertificate:
         return d
 
 
-def _find_counterexample(n: int, m: int, observed, bound: int):
-    """Edges of the first graph, in enumeration order, whose ``observed``
-    value beats ``bound``.  Only called once a scan of the whole cell has
-    proved such a graph exists; bisects rank ranges that hold one."""
-    lo, hi = 0, graph_count(n, m)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if observed(_scan_range(n, m, lo, mid - lo))[0] > bound:
-            hi = mid
-        else:
-            lo = mid
-    slots = pair_slots(n)
-    return tuple(slots[i] for i in unrank_combination(len(slots), m, lo))
-
-
 @lru_cache(maxsize=1)
 def _lex_profile(n: int, m: int):
     # certificates come cell by cell, so one entry serves all of a cell's
@@ -234,11 +194,12 @@ def _certificate(
     scan: CellScan,
     observed,
 ) -> SharpnessCertificate:
-    """``observed`` reads (maximum, graphs attaining it) off a CellScan."""
+    """``observed`` reads (maximum, graphs attaining it, witness) off a
+    CellScan."""
     if (scan.n, scan.m) != (n, m):
         raise DomainError(f"scan of cell ({scan.n},{scan.m}) passed for cell ({n},{m})")
-    max_observed, extremal_count = observed(scan)
-    cert = SharpnessCertificate(
+    max_observed, extremal_count, witness = observed(scan)
+    return SharpnessCertificate(
         kind=kind,
         n=n,
         m=m,
@@ -248,11 +209,8 @@ def _certificate(
         attained_by_lex=lex_value == max_observed,
         extremal_graph_count=extremal_count,
         graphs_checked=scan.graphs_checked,
+        counterexample=tuple(Graph(n, witness).edges()) if max_observed > bound else None,
     )
-    if not cert.valid:
-        witness = _find_counterexample(n, m, observed, bound)
-        cert = replace(cert, counterexample=witness)
-    return cert
 
 
 def verify_alpha_sharp(
@@ -278,7 +236,7 @@ def verify_alpha_sharp(
         alpha_upper(n, m),
         _lex_profile(n, m).alpha(),
         scan,
-        lambda s: (s.max_alpha, s.alpha_count),
+        lambda s: (s.max_alpha, s.alpha_count, s.alpha_witness),
     )
 
 
@@ -307,7 +265,7 @@ def verify_ir_sharp(
         ir_upper_lex(n, m, r),
         _lex_profile(n, m).size_count(r),
         scan,
-        lambda s: (s.max_ir[r], s.ir_count[r]),
+        lambda s: (s.max_ir[r], s.ir_count[r], s.ir_witness[r]),
     )
 
 
@@ -332,7 +290,7 @@ def verify_total_count_extremality(
         lex_total,
         lex_total,
         scan,
-        lambda s: (s.max_total, s.total_count),
+        lambda s: (s.max_total, s.total_count, s.total_witness),
     )
 
 

@@ -60,6 +60,23 @@ def for_each_graph(n: int, m: int, visitor) -> int:
     return visited
 
 
+def is_degree_sorted(g: Graph) -> bool:
+    """deg(1) >= deg(2) >= ... >= deg(n)."""
+    degrees = [len(g.neighbors(v)) for v in range(1, g.n + 1)]
+    return all(a >= b for a, b in zip(degrees, degrees[1:]))
+
+
+def search_key(g: Graph) -> list:
+    """Where a degree-sorted graph comes in the order the kernels' sorted
+    search visits them: vertex by vertex, its later neighbours, fewer
+    before more, and equally many in lex order."""
+    key = []
+    for u in range(1, g.n + 1):
+        later = [v for v in range(u + 1, g.n + 1) if g.has_edge(u, v)]
+        key.append((len(later), later))
+    return key
+
+
 def naive_clique_count(g: Graph, r: int) -> int:
     verts = range(1, g.n + 1)
     return sum(1 for subset in combinations(verts, r) if is_clique(g, subset))

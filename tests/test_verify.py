@@ -2,7 +2,6 @@
 
 import multiprocessing
 import pickle
-from itertools import combinations
 
 import pytest
 
@@ -10,48 +9,59 @@ from lexext import (
     BudgetExceededError,
     DomainError,
     FormatError,
+    Graph,
     binom,
     build_lex_graph,
     graph_count,
     independence_profile,
     pair_slots,
-    unrank_combination,
     verify_alpha_sharp,
     verify_ir_sharp,
     verify_range,
     verify_total_count_extremality,
 )
-from lexext import verify
-from lexext.verify import (
-    CellScan,
-    _find_counterexample,
-    scan_cell,
-)
-from naive import for_each_graph, naive_profile
+from lexext import _kernels, verify
+from lexext.verify import CellScan, scan_cell
+from naive import for_each_graph, is_degree_sorted, naive_profile, search_key
+
+
+def alpha_of(counts):
+    return max(r for r, c in enumerate(counts) if c)
+
+
+def size_count(r):
+    return lambda counts: counts[r]
+
 
 # what each certificate kind reads off a scan, and off a naive profile
 KINDS = {
-    "alpha": (
-        lambda s: (s.max_alpha, s.alpha_count),
-        lambda counts: max(r for r, c in enumerate(counts) if c),
-    ),
-    "ir2": (lambda s: (s.max_ir[2], s.ir_count[2]), lambda counts: counts[2]),
-    "ir3": (lambda s: (s.max_ir[3], s.ir_count[3]), lambda counts: counts[3]),
-    "total": (lambda s: (s.max_total, s.total_count), sum),
+    "alpha": (lambda s: (s.max_alpha, s.alpha_count, s.alpha_witness), alpha_of),
+    "ir2": (lambda s: (s.max_ir[2], s.ir_count[2], s.ir_witness[2]), size_count(2)),
+    "ir3": (lambda s: (s.max_ir[3], s.ir_count[3], s.ir_witness[3]), size_count(3)),
+    "total": (lambda s: (s.max_total, s.total_count, s.total_witness), sum),
 }
 
 
 def naive_first_witness(n, m, value, bound):
-    """Edges of the first graph in lex combination order whose naive
-    value exceeds bound."""
+    """Adjacency rows of the first degree-sorted graph, in the sorted
+    search's order, whose naive value exceeds bound."""
     found = []
 
     def visit(g):
-        if not found and value(naive_profile(g)) > bound:
-            found.append(tuple(g.edges()))
+        if is_degree_sorted(g) and value(naive_profile(g)) > bound:
+            found.append(g)
 
     for_each_graph(n, m, visit)
-    return found[0]
+    return min(found, key=search_key).adj
+
+
+def assert_sorted_witness(n, m, edges, value, bound):
+    """edges make a degree-sorted m-edge graph whose naive value is
+    larger than bound."""
+    g = Graph.from_edges(n, edges)
+    assert is_degree_sorted(g)
+    assert g.m == m
+    assert value(naive_profile(g)) > bound
 
 
 class TestPairSlots:
@@ -82,22 +92,6 @@ class TestGraphCount:
             graph_count(4, 7)
         with pytest.raises(DomainError):
             graph_count(0, 0)
-
-
-class TestUnrankCombination:
-    def test_matches_itertools_order(self):
-        for p, m in [(5, 0), (5, 2), (6, 3), (7, 7), (10, 4)]:
-            expected = list(combinations(range(p), m))
-            got = [unrank_combination(p, m, rank) for rank in range(binom(p, m))]
-            assert got == expected
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            unrank_combination(5, 6, 0)
-        with pytest.raises(DomainError):
-            unrank_combination(5, 2, 10)
-        with pytest.raises(DomainError):
-            unrank_combination(5, 2, -1)
 
 
 class TestForEachGraph:
@@ -188,11 +182,30 @@ class TestCellScan:
             ir_count=tuple(ir_count),
             max_total=stats["max_total"],
             total_count=stats["total_count"],
+            alpha_witness=naive_first_witness(n, m, alpha_of, stats["max_alpha"] - 1),
+            ir_witness=tuple(
+                naive_first_witness(n, m, size_count(r), max_ir[r] - 1) for r in range(n + 1)
+            ),
+            total_witness=naive_first_witness(n, m, sum, stats["max_total"] - 1),
         )
 
     def test_scan_matches_naive_reduce(self):
         for n, m in [(4, 3), (5, 6), (5, 2), (4, 0), (4, 6)]:
             assert scan_cell(n, m) == self.scan_naively(n, m)
+
+    def test_witnesses_reach_the_maxima_to_order_six(self):
+        for n in range(1, 7):
+            for m in range(binom(n, 2) + 1):
+                scan = scan_cell(n, m)
+                witnesses = [
+                    (scan.alpha_witness, alpha_of, scan.max_alpha),
+                    (scan.total_witness, sum, scan.max_total),
+                    *((scan.ir_witness[r], size_count(r), scan.max_ir[r]) for r in range(n + 1)),
+                ]
+                for rows, value, best in witnesses:
+                    g = Graph(n, rows)
+                    assert is_degree_sorted(g) and g.m == m
+                    assert value(naive_profile(g)) == best
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -286,44 +299,46 @@ class TestCertificates:
         assert d["ok"] is True
         assert "counterexample" not in d
 
-    def test_counterexample_locator(self):
-        # every one-edge graph on 4 vertices has five independent pairs
-        witness = _find_counterexample(4, 1, KINDS["ir2"][0], 4)
-        assert witness == ((1, 2),)
+    def test_counterexample_locator(self, monkeypatch):
+        # every one-edge graph on 4 vertices has five independent pairs, and
+        # {1, 2} is the only degree-sorted one
+        monkeypatch.setattr(verify, "ir_upper_lex", lambda n, m, r: 4)
+        assert verify_ir_sharp(4, 1, 2).counterexample == ((1, 2),)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("n, m", [(5, 6), (6, 7)])
     def test_counterexample_is_first_naive_witness(self, kind, n, m):
         observed, value = KINDS[kind]
-        bound = observed(scan_cell(n, m))[0] - 1
-        witness = _find_counterexample(n, m, observed, bound)
-        assert witness == naive_first_witness(n, m, value, bound)
-
-    def test_bisection_finds_a_witness_anywhere(self, monkeypatch):
-        # A stand-in kernel gives each graph an "alpha" of 1 if its rank is a
-        # witness and 0 otherwise, so witnesses sit where the test puts them
-        # (in a real cell the lex graph, rank 0, attains every maximum).
-        n, m = 5, 3
-        combos = list(combinations(range(binom(n, 2)), m))
-        rank_of = {c: i for i, c in enumerate(combos)}
-        slots = pair_slots(n)
-        for witnesses in ({0}, {1}, {119}, {37, 80}, {64, 65, 119}):
-
-            def fake_scan(n_, m_, first, steps):
-                lo = rank_of[tuple(first)]
-                alpha = max(int(i in witnesses) for i in range(lo, lo + steps))
-                return steps, alpha, 0, [0] * (n + 1), [0] * (n + 1), 0, 0
-
-            monkeypatch.setattr(verify._kernels, "scan_graph_range", fake_scan)
-            witness = _find_counterexample(n, m, KINDS["alpha"][0], 0)
-            assert witness == tuple(slots[i] for i in combos[min(witnesses)])
+        best, _, witness = observed(scan_cell(n, m))
+        assert witness == naive_first_witness(n, m, value, best - 1)
 
     def test_failed_certificate_carries_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "ir_upper_lex", lambda n, m, r: 3)
         cert = verify_ir_sharp(6, 9, 3)
         assert (cert.max_observed, cert.valid) == (4, False)
-        assert cert.counterexample == tuple(build_lex_graph(6, 9).edges())
+        assert_sorted_witness(6, 9, cert.counterexample, size_count(3), 3)
         assert cert.as_dict()["counterexample"] == [list(e) for e in cert.counterexample]
+
+    def test_failed_certificate_of_order_nine_takes_one_sorted_scan(self, monkeypatch):
+        # the witness comes with the scan: a cell of 94,143,280 labeled
+        # graphs is not scanned again to find one
+        try:
+            from lexext import _core_c  # noqa: F401
+        except ImportError:
+            pytest.skip("C kernel not built: the sorted scan of cell (9, 9) is left to it")
+        real_bound, real_scan = verify.alpha_upper, _kernels.scan_sorted
+        calls = []
+
+        def counted_scan(n, m):
+            calls.append((n, m))
+            return real_scan(n, m)
+
+        monkeypatch.setattr(verify, "alpha_upper", lambda n, m: real_bound(n, m) - 1)
+        monkeypatch.setattr(_kernels, "scan_sorted", counted_scan)
+        cert = verify_alpha_sharp(9, 9, budget=10**10)
+        assert not cert.valid and cert.counterexample is not None
+        assert calls == [(9, 9)]
+        assert_sorted_witness(9, 9, cert.counterexample, alpha_of, cert.bound)
 
 
 class TestVerifyRange:
