@@ -24,7 +24,6 @@ from .counting import (
     IndependenceProfile,
     clique_profile,
     complement,
-    independence_number,
     independence_profile,
 )
 from .errors import BudgetExceededError, DomainError, FormatError
@@ -99,7 +98,6 @@ __all__ = [
     "is_dominating_set",
     "IndependenceProfile",
     "independence_profile",
-    "independence_number",
     "complement",
     "clique_profile",
     "SRelation",

@@ -59,24 +59,6 @@ profile_rec(const uint64_t *adj, uint64_t mask, int size, int64_t *counts)
     profile_rec(adj, mask & ~(adj[v] | bit), size + 1, counts);
 }
 
-static void
-mis_rec(const uint64_t *adj, uint64_t mask, int size, int *best)
-{
-    if (size > *best)
-        *best = size;
-    int pc = __builtin_popcountll(mask);
-    if (size + pc <= *best)
-        return;
-    int v = max_degree_vertex(adj, mask);
-    if (v < 0) {
-        *best = size + pc;
-        return;
-    }
-    uint64_t bit = (uint64_t)1 << v;
-    mis_rec(adj, mask & ~(adj[v] | bit), size + 1, best);
-    mis_rec(adj, mask & ~bit, size, best);
-}
-
 /* Advance c to the next k-combination of 0..p-1 in lexicographic order;
  * return 0 when c was the last one. */
 static int
@@ -93,7 +75,7 @@ next_combo(int *c, int k, int p)
     return 1;
 }
 
-/* Parse the (adj, n) arguments of the per-graph kernels into adj and *n;
+/* Parse the (adj, n) arguments of profile_counts into adj and *n;
  * 0 on success, -1 with an exception set. */
 static int
 parse_graph(PyObject *args, PyObject *kwargs, uint64_t *adj, int *n)
@@ -154,20 +136,6 @@ profile_counts(PyObject *self, PyObject *args, PyObject *kwargs)
     profile_rec(adj, ((uint64_t)1 << n) - 1, 0, counts);
     Py_END_ALLOW_THREADS
     return int64_seq(counts, n + 1, 1);
-}
-
-static PyObject *
-max_independent_size(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    int n, best = 0;
-    uint64_t adj[MAX_ORDER];
-
-    if (parse_graph(args, kwargs, adj, &n) < 0)
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    mis_rec(adj, ((uint64_t)1 << n) - 1, 0, &best);
-    Py_END_ALLOW_THREADS
-    return PyLong_FromLong(best);
 }
 
 /* Running maxima of a scan's profiles, each with the weight of the
@@ -496,9 +464,6 @@ scan_sorted(PyObject *self, PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     {"profile_counts", (PyCFunction)(void (*)(void))profile_counts, METH_VARARGS | METH_KEYWORDS,
      "Counts of independent sets by size; see _core_py.profile_counts."},
-    {"max_independent_size", (PyCFunction)(void (*)(void))max_independent_size,
-     METH_VARARGS | METH_KEYWORDS,
-     "Size of a largest independent set; see _core_py.max_independent_size."},
     {"scan_graph_range", (PyCFunction)(void (*)(void))scan_graph_range,
      METH_VARARGS | METH_KEYWORDS,
      "Reduce profiles over a rank range of m-edge graphs.\n\n"

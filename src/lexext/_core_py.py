@@ -53,39 +53,6 @@ def profile_counts(adj, n: int) -> list[int]:
     return counts
 
 
-def max_independent_size(adj, n: int) -> int:
-    """Size of a largest independent set, without computing the profile."""
-    best = 0
-
-    def rec(mask: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if size + mask.bit_count() <= best:
-            return
-        best_v = -1
-        best_d = 0
-        rest = mask
-        while rest:
-            lsb = rest & -rest
-            v = lsb.bit_length() - 1
-            rest ^= lsb
-            d = (adj[v] & mask).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        if best_v < 0:
-            total = size + mask.bit_count()
-            if total > best:
-                best = total
-            return
-        rec(mask & ~(adj[best_v] | (1 << best_v)), size + 1)
-        rec(mask & ~(1 << best_v), size)
-
-    rec((1 << n) - 1, 0)
-    return best
-
-
 def _pair_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

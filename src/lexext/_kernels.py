@@ -26,12 +26,6 @@ def profile_counts(adj, n: int) -> list[int]:
     return _core_py.profile_counts(adj, n)
 
 
-def max_independent_size(adj, n: int) -> int:
-    if _compiled is not None and n <= MAX_ORDER:
-        return _compiled.max_independent_size(adj, n)
-    return _core_py.max_independent_size(adj, n)
-
-
 def scan_sorted(n: int, m: int):
     if _compiled is not None and n <= MAX_ORDER:
         return _compiled.scan_sorted(n, m)

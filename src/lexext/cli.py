@@ -13,6 +13,7 @@ domain or input error, 2 usage error, 3 verification incomplete under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,9 +92,7 @@ def _read_input(path: str) -> str:
 
 
 def cmd_count(args) -> int:
-    g = parse_document(_read_input(args.input), args.format).graph
-    if g.n > MAX_ORDER:
-        raise DomainError(f"counting is limited to order <= {MAX_ORDER}, got n={g.n}")
+    g = parse_document(_read_input(args.input), args.format, MAX_ORDER).graph
     profile = independence_profile(g)
     payload = {"n": g.n, "m": g.m, "alpha": profile.alpha()}
     if args.r is not None:
@@ -235,10 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and kept: parsing an argv leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,5 @@
-"""Exact counting oracle: independence profiles, independence numbers,
-complements, and clique profiles.
+"""Exact counting oracle: independence profiles, which carry the
+independence number as alpha(), complements, and clique profiles.
 
 This is the brute-force side of every sharpness check; nothing here
 consults the closed-form bounds.  Counts are exact Python ints.  The hot
@@ -44,11 +44,6 @@ class IndependenceProfile:
 def independence_profile(g: Graph) -> IndependenceProfile:
     """Exact counts of independent sets of every size in g."""
     return IndependenceProfile(counts=tuple(_kernels.profile_counts(g.adj, g.n)))
-
-
-def independence_number(g: Graph) -> int:
-    """Size of a largest independent set, short-circuiting the full profile."""
-    return _kernels.max_independent_size(g.adj, g.n)
 
 
 def complement(g: Graph) -> Graph:

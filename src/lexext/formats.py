@@ -8,18 +8,25 @@ graph6 follows the standard 6-bit upper-triangle encoding (vertices
 rendering only and has no parser.
 
 Parsers raise FormatError carrying the offending line (edgelist) or byte
-position (graph6).  A parser checks its text once, in reading order, so
-the first bad line or byte is reported, and hands the rows it built to
-Graph, whose check of the rows is the only other one.
+position (graph6).  A parser checks and decodes its text in a few passes
+over the whole of it, each a C-level primitive (a regex scan, split,
+int, min/max, str.translate, zip) rather than a step per edge or bit;
+only building an edge list's rows loops over its edges.  When a bulk
+check fails, a short scan in reading order finds the first bad line or
+byte and raises the error a line-by-line reading would.  With max_order
+given, a larger order is refused right after the header, before any row
+is built.  A parser hands its rows to Graph, whose check of the rows is
+the only other one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import lt
 
-from .arith import binom
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .lexgraph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -27,6 +34,8 @@ _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_MAX = (1 << 36) - 1
 _NOT_DIGIT_OR_SPACE = re.compile(r"[^0-9\s]")
+# each graph6 data byte as the six bits it carries, high bit first
+_G6_BITS = {63 + v: f"{v:06b}" for v in range(64)}
 
 
 def emit_edgelist(g: Graph) -> str:
@@ -35,7 +44,12 @@ def emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edgelist(text: str) -> Graph:
+def _check_order(n: int, max_order: int | None) -> None:
+    if max_order is not None and n > max_order:
+        raise DomainError(f"counting is limited to order <= {max_order}, got n={n}")
+
+
+def parse_edgelist(text: str, max_order: int | None = None) -> Graph:
     # fields are [0-9]+, checked in one pass over the text: int() alone
     # would also take signs, underscores and non-ASCII digits such as U+0662
     bad = _NOT_DIGIT_OR_SPACE.search(text)
@@ -50,35 +64,56 @@ def parse_edgelist(text: str) -> Graph:
         lines.pop()
     if not lines:
         raise FormatError("empty input, expected a header line 'n m'", line=1)
-
-    def ints(line_no: int, expected: int) -> list[int]:
-        parts = lines[line_no - 1].split()
-        if len(parts) != expected:
-            raise FormatError(
-                f"expected {expected} fields, got {len(parts)}", line=line_no
-            )
-        return [int(p) for p in parts]
-
-    n, m = ints(1, 2)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise FormatError(f"expected 2 fields, got {len(header)}", line=1)
+    n, m = map(int, header)
     if n < 1:
         raise FormatError(f"order must be >= 1, got {n}", line=1)
+    _check_order(n, max_order)
     if len(lines) != 1 + m:
         raise FormatError(
             f"header says {m} edges but {len(lines) - 1} edge lines follow",
             line=len(lines),
         )
+    fields = list(map(str.split, islice(lines, 1, None)))
+    if not {*map(len, fields)} <= {2}:
+        raise _first_bad_edge(fields, n)
+    tokens = list(chain.from_iterable(fields))
+    # a vertex recurs on many lines, so each distinct field is read once
+    try:
+        index = {t: int(t) - 1 for t in set(tokens)}
+    except ValueError:  # a field longer than int() reads
+        raise _first_bad_edge(fields, n) from None
+    ends = list(map(index.__getitem__, tokens))
+    us, vs = ends[::2], ends[1::2]
+    labels = index.values()
+    if m and (min(labels) < 0 or max(labels) >= n or not all(map(lt, us, vs))):
+        raise _first_bad_edge(fields, n)
     rows = [0] * n
-    for line_no in range(2, 2 + m):
-        u, v = ints(line_no, 2)
-        if not 1 <= u < v <= n:
-            raise FormatError(
-                f"edge ({u}, {v}) violates 1 <= u < v <= {n}", line=line_no
-            )
-        if (rows[u - 1] >> (v - 1)) & 1:
-            raise FormatError(f"duplicate edge ({u}, {v})", line=line_no)
-        rows[u - 1] |= 1 << (v - 1)
-        rows[v - 1] |= 1 << (u - 1)
+    for u, v in zip(us, vs):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    # a repeated edge sets no new bit
+    if sum(map(int.bit_count, rows)) != 2 * m:
+        raise _first_bad_edge(fields, n)
     return Graph(n, tuple(rows))
+
+
+def _first_bad_edge(fields: list[list[str]], n: int) -> FormatError:
+    """The error for the first bad edge line, the way a line-by-line
+    reading would meet it."""
+    seen = set()
+    for line, parts in enumerate(fields, 2):
+        if len(parts) != 2:
+            return FormatError(f"expected 2 fields, got {len(parts)}", line=line)
+        u, v = map(int, parts)
+        if not 1 <= u < v <= n:
+            return FormatError(f"edge ({u}, {v}) violates 1 <= u < v <= {n}", line=line)
+        if (u, v) in seen:
+            return FormatError(f"duplicate edge ({u}, {v})", line=line)
+        seen.add((u, v))
+    raise AssertionError("no bad edge line")
 
 
 def _g6_encode_order(n: int) -> str:
@@ -118,7 +153,7 @@ def _g6_value(text: str, pos: int) -> int:
     return c - 63
 
 
-def parse_graph6(text: str) -> Graph:
+def parse_graph6(text: str, max_order: int | None = None) -> Graph:
     text = text.strip()
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER):]
@@ -144,28 +179,29 @@ def parse_graph6(text: str) -> Graph:
         pos = 8
     if n < 1:
         raise FormatError(f"byte 0: order must be >= 1, got {n}")
-    nbits = binom(n, 2)
+    _check_order(n, max_order)
+    nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(text) - pos != nbytes:
+    data = text[pos:]
+    if len(data) != nbytes:
         raise FormatError(
             f"byte {len(text)}: expected {nbytes} data bytes for n={n}, "
-            f"got {len(text) - pos}"
+            f"got {len(data)}"
         )
-    data = [_g6_value(text, p) for p in range(pos, len(text))]
-    if nbytes and data[-1] & ((1 << (6 * nbytes - nbits)) - 1):
+    if data and (min(data) < "?" or max(data) > "~"):
+        for p in range(pos, len(text)):  # raises at the first bad byte
+            _g6_value(text, p)
+    bits = data.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise FormatError(f"byte {len(text) - 1}: nonzero padding bits")
-    bits = "".join(f"{v:06b}" for v in data)
-    adj = [0] * n
-    for j in range(1, n):
-        # upper triangle, column major: column j is x(0,j) .. x(j-1,j),
-        # so reversed it is row j's mask of the vertices before j
-        column = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
-        adj[j] = column
-        while column:
-            lsb = column & -column
-            adj[lsb.bit_length() - 1] |= 1 << j
-            column ^= lsb
-    return Graph(n, tuple(adj))
+    # upper triangle, column major: column j is x(0,j) .. x(j-1,j), the
+    # vertices before j.  Padded with zeros to length n, the columns form
+    # a matrix whose row j is x(j,0) .. x(j,n-1), the vertices after j.
+    # Row j of the graph ORs the two, each read as bit i for vertex i: the
+    # column reversed, and the matrix row taken from the last column down.
+    columns = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    after = map("".join, zip(*reversed(columns)))
+    return Graph(n, tuple(int(c[::-1], 2) | int(a, 2) for c, a in zip(columns, after)))
 
 
 def emit_dot(g: Graph) -> str:
@@ -184,12 +220,12 @@ class GraphDocument:
     graph: Graph
 
 
-def parse_document(text: str, fmt: str) -> GraphDocument:
+def parse_document(text: str, fmt: str, max_order: int | None = None) -> GraphDocument:
     try:
         parser = PARSERS[fmt]
     except KeyError:
         raise FormatError(f"no parser for format {fmt!r}") from None
-    return GraphDocument(format=fmt, graph=parser(text))
+    return GraphDocument(format=fmt, graph=parser(text, max_order))
 
 
 EMITTERS = {

@@ -14,6 +14,7 @@ what the counting kernels consume directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .bounds import _cell
@@ -32,26 +33,46 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"graph order must be non-negative, got {self.n}")
-        if len(self.adj) != self.n:
-            raise DomainError(
-                f"expected {self.n} adjacency rows, got {len(self.adj)}"
-            )
+        n, adj = self.n, self.adj
+        if n < 0:
+            raise DomainError(f"graph order must be non-negative, got {n}")
+        if len(adj) != n:
+            raise DomainError(f"expected {n} adjacency rows, got {len(adj)}")
+        if n and (min(adj) < 0 or max(adj) >> n):
+            raise self._first_fault()
+        # every bit above the diagonal has its mirror below it; that map is
+        # one to one, so a total of twice the count above leaves no bit on
+        # the diagonal and none below without its mirror
+        above = 0
+        for i, row in compress(enumerate(adj), adj):
+            rest = row >> (i + 1)
+            above += rest.bit_count()
+            while rest:
+                lsb = rest & -rest
+                if not (adj[i + lsb.bit_length()] >> i) & 1:
+                    raise self._first_fault()
+                rest ^= lsb
+        if sum(map(int.bit_count, adj)) != 2 * above:
+            raise self._first_fault()
+
+    def _first_fault(self) -> DomainError:
+        """The error for the first bad row, the way a row-by-row reading
+        would meet it."""
         for i, row in enumerate(self.adj):
             if row < 0 or row >> self.n:
-                raise DomainError(f"adjacency row {i + 1} has bits outside 1..{self.n}")
+                return DomainError(f"adjacency row {i + 1} has bits outside 1..{self.n}")
             if (row >> i) & 1:
-                raise DomainError(f"vertex {i + 1} is adjacent to itself")
+                return DomainError(f"vertex {i + 1} is adjacent to itself")
             rest = row
             while rest:
                 lsb = rest & -rest
                 j = lsb.bit_length() - 1
                 rest ^= lsb
                 if not (self.adj[j] >> i) & 1:
-                    raise DomainError(
+                    return DomainError(
                         f"adjacency is not symmetric between {i + 1} and {j + 1}"
                     )
+        raise AssertionError("no bad adjacency row")
 
     @property
     def m(self) -> int:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -182,6 +183,15 @@ class TestCount:
         code, _, err = run(capsys, "count")
         assert code == 1
         assert "62" in err
+
+    def test_huge_order_refused_before_any_row_is_built(self, capsys, monkeypatch):
+        # ten million rows would take seconds and over 100 MB to build
+        monkeypatch.setattr("sys.stdin", io.StringIO("10000000 0\n"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == "error: counting is limited to order <= 62, got n=10000000\n"
 
     def test_r_out_of_range(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO("4 0\n"))

@@ -13,7 +13,6 @@ from lexext import (
     build_lex_graph,
     clique_profile,
     complement,
-    independence_number,
     independence_profile,
 )
 from naive import naive_clique_count, naive_profile, random_graph
@@ -86,19 +85,6 @@ class TestIndependenceProfile:
             assert p.counts[2] == binom(n, 2) - g.m
         assert all(0 <= p.counts[r] <= binom(n, r) for r in range(n + 1))
         assert p.total() == sum(p.counts)
-
-
-class TestIndependenceNumber:
-    def test_pinned(self):
-        assert independence_number(build_lex_graph(5, 6)) == 3
-        assert independence_number(Graph.empty(6)) == 6
-        assert independence_number(build_lex_graph(4, 6)) == 1
-
-    def test_agrees_with_profile(self):
-        rng = random.Random(902)
-        for _ in range(100):
-            g = random_graph(rng.randint(1, 9), rng)
-            assert independence_number(g) == independence_profile(g).alpha()
 
 
 class TestComplement:

@@ -5,7 +5,9 @@ import random
 import networkx as nx
 import pytest
 
+import naive
 from lexext import (
+    DomainError,
     FormatError,
     Graph,
     binom,
@@ -17,8 +19,79 @@ from lexext import (
     parse_edgelist,
     parse_graph6,
 )
-from lexext.formats import EMITTERS, PARSERS, _g6_encode_order
+from lexext.formats import EMITTERS, GRAPH6_HEADER, PARSERS, _g6_encode_order
 from naive import random_graph
+
+# stand-ins for a mistyped byte: valid separators, digits, bytes outside
+# the format and a non-ASCII digit that int() would read
+GARBLE = "0123456789 \t\r\n-+x?@~>\x7f\u0662"
+
+
+def outcome(parse, text):
+    """What a parser makes of text: the graph, or the error as its class,
+    message and line."""
+    try:
+        return parse(text)
+    except (FormatError, DomainError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def graph_of_order(n, rng):
+    density = rng.random() * 0.5
+    return naive.random_graph_with_size(n, round(density * binom(n, 2)), rng)
+
+
+def garbled(text, rng):
+    if not text:
+        return rng.choice(GARBLE)
+    at = rng.randrange(len(text))
+    return text[:at] + rng.choice(GARBLE) + text[at + 1:]
+
+
+def corrupt_edgelist(g, rng):
+    edges = g.edges()
+    lines = [f"{u} {v}" for u, v in edges]
+    rng.shuffle(lines)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(lines) + 1)
+        kind = rng.randrange(7)
+        if kind == 0 and lines:
+            lines.insert(at, rng.choice(lines))
+        elif kind == 1 and at < len(lines):
+            del lines[at]
+        elif kind == 2 and at < len(lines):
+            lines[at] = garbled(lines[at], rng)
+        elif kind == 3 and at < len(lines):
+            lines[at] += rng.choice((" 1", " 0", "\t7", " 1 2"))
+        elif kind == 4 and at < len(lines):
+            lines[at] = lines[at].replace(" ", rng.choice(("\t", "  ", " \t ")))
+        elif kind == 5 and at < len(lines) and edges:
+            u, v = rng.choice(edges)
+            lines[at] = rng.choice((f"{v} {u}", f"0 {v}", f"{u} {g.n + 1}", f"{u} {u}", f"{u}"))
+        elif kind == 6:
+            lines.insert(at, rng.choice(("", " ", "1 2")))
+    # the header counts the lines, or miscounts them by one
+    m = len(lines) + rng.choice((0, 0, 0, 0, -1, 1))
+    text = f"{g.n} {m}\n" + "".join(line + "\n" for line in lines)
+    return text + rng.choice(("", "\n", " \n\n"))
+
+
+def corrupt_graph6(g, rng):
+    wire = emit_graph6(g)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(wire) + 1)
+        kind = rng.randrange(5)
+        if kind == 0:
+            wire = garbled(wire, rng)
+        elif kind == 1:
+            wire = wire[:at] + wire[at + 1:]
+        elif kind == 2:
+            wire = wire[:at] + rng.choice(GARBLE) + wire[at:]
+        elif kind == 3 and binom(g.n, 2) % 6:
+            wire = wire[:-1] + chr(63 + ((ord(wire[-1]) - 63) | 1))  # a padding bit
+        elif kind == 4:
+            wire = rng.choice((GRAPH6_HEADER, " ", "\n")) + wire + rng.choice(("", "\n"))
+    return wire
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -158,6 +231,60 @@ class TestGraph6:
         # n = 4 must use the single-byte header
         with pytest.raises(FormatError, match="long order form"):
             parse_graph6("~??C" + "~")
+
+
+class TestAgainstLineByLineReading:
+    """The whole-text parsers return the graph, or raise the error with the
+    class, message and line, that a reading line by line or byte by byte
+    (naive.parse_edgelist, naive.parse_graph6) does."""
+
+    def test_edgelist(self):
+        rng = random.Random(311)
+        for n in range(1, 71):
+            g = graph_of_order(n, rng)
+            for _ in range(4):
+                text = corrupt_edgelist(g, rng)
+                assert outcome(parse_edgelist, text) == outcome(naive.parse_edgelist, text), text
+
+    def test_graph6(self):
+        rng = random.Random(312)
+        for n in range(1, 71):
+            g = graph_of_order(n, rng)
+            for _ in range(6):
+                wire = corrupt_graph6(g, rng)
+                assert outcome(parse_graph6, wire) == outcome(naive.parse_graph6, wire), wire
+
+    def test_pinned_faults(self):
+        # a field too long for int() fails there, unless a line before it fails first
+        long = "9" * 5000
+        edgelists = (
+            "", "\n", "5\n", "1 2 3\n", "0 0\n", "3 1\n", "3 0\n1 2\n", " 2 1 \n 1\t2 \n",
+            f"3 2\n1 2\n1 {long}\n", f"3 2\n1 1\n1 {long}\n",
+        )
+        for text in edgelists:
+            assert outcome(parse_edgelist, text) == outcome(naive.parse_edgelist, text), text
+        for wire in ("", "~", "~?", "~??", "~??~", "~~??????", "~??B", "?", "@", "A_", "B", "C~~"):
+            assert outcome(parse_graph6, wire) == outcome(naive.parse_graph6, wire), wire
+
+
+class TestOrderCap:
+    MESSAGE = "counting is limited to order <= 62, got n=63"
+
+    def test_refused_right_after_the_header(self):
+        # the edge lines and data bytes after the header are never read
+        for parse, text in [
+            (parse_edgelist, "63 2\n1 2\n"),
+            (parse_graph6, "~??~" + "!"),
+        ]:
+            with pytest.raises(DomainError) as info:
+                parse(text, max_order=62)
+            assert str(info.value) == self.MESSAGE
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            parse_document("63 0\n", "edgelist", 62)
+
+    def test_cap_admits_its_own_order(self):
+        assert parse_edgelist("62 0\n", max_order=62) == Graph.empty(62)
+        assert parse_graph6(emit_graph6(Graph.empty(62)), max_order=62) == Graph.empty(62)
 
 
 class TestDot:

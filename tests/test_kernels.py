@@ -115,15 +115,6 @@ class TestKernelAgreement:
             assert core_c.profile_counts(adj, n) == _core_py.profile_counts(adj, n)
         assert sum(core_c.profile_counts([0] * 62, 62)) == 2**62
 
-    def test_max_independent_size(self, core_c):
-        rng = random.Random(102)
-        for _ in range(300):
-            n = rng.randint(1, 16)
-            adj = random_adj(n, rng)
-            assert core_c.max_independent_size(adj, n) == _core_py.max_independent_size(
-                adj, n
-            )
-
     def test_scan_full_cells(self, core_c):
         for n, m in [(4, 3), (5, 6), (5, 0), (5, 10), (6, 9)]:
             total = graph_count(n, m)
@@ -145,8 +136,6 @@ class TestKernelAgreement:
         adj = [0] * 63
         with pytest.raises(ValueError):
             core_c.profile_counts(adj, 63)
-        with pytest.raises(ValueError):
-            core_c.max_independent_size(adj, 63)
         with pytest.raises(ValueError):
             core_c.scan_graph_range(63, 0, (), 1)
         with pytest.raises(ValueError):
@@ -240,4 +229,3 @@ class TestPureKernelShapes:
         counts = _kernels.profile_counts(adj, n)
         assert counts[0] == 1 and counts[1] == n
         assert counts[n] == 1
-        assert _kernels.max_independent_size(adj, n) == n

@@ -1,5 +1,7 @@
 """Lex graphs: construction, closed-form neighborhoods, extremal sets."""
 
+import random
+import time
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -16,10 +18,11 @@ from lexext import (
     lex_compare,
     lex_maximum_independent_sets,
     lex_neighborhood,
+    parse_edgelist,
     sds_decompose,
 )
 from lexext import bounds
-from naive import naive_maximum_independent_sets
+from naive import check_rows, naive_maximum_independent_sets, random_graph_with_size
 
 
 class TestGraphContainer:
@@ -63,6 +66,45 @@ class TestGraphContainer:
             Graph(2, (0b01, 0b00))  # self-loop bit
         with pytest.raises(DomainError):
             Graph(2, (0b100, 0b000))  # bit beyond order
+
+    def test_row_check_matches_reading_bit_by_bit(self):
+        # the first fault that naive.check_rows meets, row by row and bit by
+        # bit, is the one reported, whatever faults follow it
+        def message(check):
+            try:
+                check()
+            except DomainError as exc:
+                return str(exc)
+
+        rng = random.Random(313)
+        for n in range(1, 71):
+            g = random_graph_with_size(n, rng.randrange(binom(n, 2) + 1), rng)
+            for _ in range(4):
+                rows = list(g.adj)
+                for _ in range(rng.randint(0, 3)):
+                    i, j = rng.randrange(n), rng.randrange(n + 2)
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        rows[i] ^= 1 << j  # an asymmetric pair, or a bit past n
+                    elif kind == 1:
+                        rows[i] |= 1 << i  # a self-loop
+                    elif kind == 2:
+                        rows[i] = -rows[i] or -1
+                    else:
+                        rows[i] |= 1 << (n + rng.randrange(3))
+                expected = message(lambda: check_rows(n, rows))
+                assert message(lambda: Graph(n, tuple(rows))) == expected, (n, rows)
+
+    def test_large_orders_stay_linear(self):
+        # a mask built per vertex or per row would make each quadratic in the order
+        for build in (
+            lambda: Graph.empty(10**6),
+            lambda: parse_edgelist("1000000 0\n"),
+            lambda: build_lex_graph(10**5, 10**5 - 1),
+        ):
+            start = time.perf_counter()
+            build()
+            assert time.perf_counter() - start < 5
 
     def test_vertex_range_checked(self):
         g = Graph.empty(3)
