@@ -62,7 +62,6 @@ from .verify import (
     SkippedCell,
     VerificationSummary,
     graph_count,
-    pair_slots,
     scan_cell,
     verify_alpha_sharp,
     verify_ir_sharp,
@@ -114,7 +113,6 @@ __all__ = [
     "SharpnessCertificate",
     "SkippedCell",
     "VerificationSummary",
-    "pair_slots",
     "graph_count",
     "scan_cell",
     "verify_alpha_sharp",

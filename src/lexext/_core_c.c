@@ -154,14 +154,12 @@ struct fold {
 static void
 fold_init(struct fold *f, int n)
 {
+    /* zeroed witnesses too: a fold of no graph still reads them */
+    memset(f, 0, sizeof *f);
     f->n = n;
-    f->overflow = 0;
-    f->checked = f->alpha_count = f->total_count = 0;
     f->max_alpha = f->max_total = -1;
-    for (int r = 0; r <= n; r++) {
+    for (int r = 0; r <= n; r++)
         f->max_ir[r] = -1;
-        f->ir_count[r] = 0;
-    }
 }
 
 /* Fold one value of graph adj into a running maximum, the weight of its
@@ -202,35 +200,36 @@ fold_graph(struct fold *f, const uint64_t *adj, int64_t weight)
         f->overflow = 1;
 }
 
-/* The seven reduction fields of a fold, followed by its witnesses when
- * `witnesses` is set: the rows for alpha, a tuple of the rows for each r,
- * and the rows for the total. */
+/* A fold keyed by CellScan's field names: the seven reductions, which
+ * are also scan_graph_range's tuple in this order, then the witnesses,
+ * the rows for alpha, a tuple of the rows for each r, and the rows for
+ * the total. */
 static PyObject *
-fold_result(const struct fold *f, int witnesses)
+fold_result(const struct fold *f)
 {
     if (f->overflow) {
         PyErr_SetString(PyExc_OverflowError, "a weighted count passed 2**63 - 1");
         return NULL;
     }
-    PyObject *alpha_w = NULL, *ir_w = NULL, *total_w = NULL;
-    if (witnesses) {
-        alpha_w = int64_seq(f->alpha_witness, f->n, 0);
-        total_w = int64_seq(f->total_witness, f->n, 0);
-        ir_w = PyTuple_New(f->n + 1);
-        for (int r = 0; ir_w != NULL && r <= f->n; r++) {
-            PyObject *rows = int64_seq(f->ir_witness[r], f->n, 0);
-            if (rows == NULL)
-                Py_CLEAR(ir_w);
-            else
-                PyTuple_SET_ITEM(ir_w, r, rows);
-        }
+    PyObject *ir_w = PyTuple_New(f->n + 1);
+    for (int r = 0; ir_w != NULL && r <= f->n; r++) {
+        PyObject *rows = int64_seq(f->ir_witness[r], f->n, 0);
+        if (rows == NULL)
+            Py_CLEAR(ir_w);
+        else
+            PyTuple_SET_ITEM(ir_w, r, rows);
     }
-    /* the shorter format leaves the three NULL witnesses unread */
-    return Py_BuildValue(witnesses ? "(LLLNNLLNNN)" : "(LLLNNLL)", (long long)f->checked,
-                         (long long)f->max_alpha, (long long)f->alpha_count,
-                         int64_seq(f->max_ir, f->n + 1, 0), int64_seq(f->ir_count, f->n + 1, 0),
-                         (long long)f->max_total, (long long)f->total_count, alpha_w, ir_w,
-                         total_w);
+    return Py_BuildValue("{s:L,s:L,s:L,s:N,s:N,s:L,s:L,s:N,s:N,s:N}",
+                         "graphs_checked", (long long)f->checked,
+                         "max_alpha", (long long)f->max_alpha,
+                         "alpha_count", (long long)f->alpha_count,
+                         "max_ir", int64_seq(f->max_ir, f->n + 1, 0),
+                         "ir_count", int64_seq(f->ir_count, f->n + 1, 0),
+                         "max_total", (long long)f->max_total,
+                         "total_count", (long long)f->total_count,
+                         "alpha_witness", int64_seq(f->alpha_witness, f->n, 0),
+                         "ir_witness", ir_w,
+                         "total_witness", int64_seq(f->total_witness, f->n, 0));
 }
 
 /* Check the (n, m) of a cell; 0 on success, -1 with an exception set. */
@@ -309,7 +308,16 @@ scan_graph_range(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     Py_END_ALLOW_THREADS
 
-    return fold_result(&f, 0);
+    /* the positional form: the first seven values of the record */
+    PyObject *record = fold_result(&f), *key, *value;
+    PyObject *reduction = record != NULL ? PyTuple_New(7) : NULL;
+    Py_ssize_t pos = 0;
+    for (int i = 0; reduction != NULL && i < 7 && PyDict_Next(record, &pos, &key, &value); i++) {
+        Py_INCREF(value);
+        PyTuple_SET_ITEM(reduction, i, value);
+    }
+    Py_XDECREF(record);
+    return reduction;
 }
 
 /* The degree-sorted search of scan_sorted; _core_py.scan_sorted is its
@@ -458,7 +466,7 @@ scan_sorted(PyObject *self, PyObject *args, PyObject *kwargs)
     sorted_row(&s, 0, n - 1, 0);
     Py_END_ALLOW_THREADS
 
-    return fold_result(&s.fold, 1);
+    return fold_result(&s.fold);
 }
 
 static PyMethodDef methods[] = {
@@ -467,10 +475,10 @@ static PyMethodDef methods[] = {
     {"scan_graph_range", (PyCFunction)(void (*)(void))scan_graph_range,
      METH_VARARGS | METH_KEYWORDS,
      "Reduce profiles over a rank range of m-edge graphs.\n\n"
-     "Same contract and return shape as _core_py.scan_graph_range."},
+     "Same contract and return shape as _core_py.scan_graph_range: a positional 7-tuple."},
     {"scan_sorted", (PyCFunction)(void (*)(void))scan_sorted, METH_VARARGS | METH_KEYWORDS,
      "Reduce weighted profiles over the degree-sorted graphs of a cell.\n\n"
-     "Same contract and return shape as _core_py.scan_sorted."},
+     "Same contract and return shape as _core_py.scan_sorted: a dict keyed by CellScan's fields."},
     {NULL, NULL, 0, NULL},
 };
 

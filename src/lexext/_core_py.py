@@ -11,7 +11,7 @@ any number of threads or worker processes.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 
 # the largest count the compiled kernel's int64 arithmetic holds
@@ -116,19 +116,22 @@ class _Fold:
             self.total_count += weight
         self.checked += weight
 
-    def result(self):
-        return (
-            self.checked,
-            self.max_alpha,
-            self.alpha_count,
-            tuple(self.max_ir),
-            tuple(self.ir_count),
-            self.max_total,
-            self.total_count,
-        )
-
-    def witnesses(self):
-        return self.alpha_witness, tuple(self.ir_witness), self.total_witness
+    def record(self) -> dict:
+        """The fold keyed by CellScan's field names: the seven reductions,
+        which are also scan_graph_range's tuple in this order, then the
+        witnesses."""
+        return {
+            "graphs_checked": self.checked,
+            "max_alpha": self.max_alpha,
+            "alpha_count": self.alpha_count,
+            "max_ir": tuple(self.max_ir),
+            "ir_count": tuple(self.ir_count),
+            "max_total": self.max_total,
+            "total_count": self.total_count,
+            "alpha_witness": self.alpha_witness,
+            "ir_witness": tuple(self.ir_witness),
+            "total_witness": self.total_witness,
+        }
 
 
 def scan_graph_range(n: int, m: int, first_combo, steps: int):
@@ -136,16 +139,17 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
 
     Graphs are m-combinations of the lex-ordered vertex-pair slots, in
     lexicographic combination order starting from ``first_combo``.
-    Returns a tuple
+    Returns the positional 7-tuple
 
         (checked, max_alpha, alpha_count, max_ir, ir_count,
          max_total, total_count)
 
     where max_ir[r] is the largest size-r independent-set count seen over
     the visited graphs, the *_count entries say how many graphs attained
-    each maximum, and max_total is the largest per-graph total.  It is
-    the labeled reference for scan_sorted, kept for the tests and for the
-    benchmark's kernel agreement check.
+    each maximum, and max_total is the largest per-graph total: the first
+    seven values of scan_sorted's record, without names or witnesses.  It
+    is the labeled reference for scan_sorted, kept for the tests and for
+    the benchmark's kernel agreement check, which reads this shape.
     """
     pairs = _pair_slots(n)
     combo = list(first_combo)
@@ -161,16 +165,18 @@ def scan_graph_range(n: int, m: int, first_combo, steps: int):
         fold.add(adj, 1)
         if fold.checked < steps and not _next_combination(combo, len(pairs)):
             break
-    return fold.result()
+    return tuple(islice(fold.record().values(), 7))
 
 
 def scan_sorted(n: int, m: int):
     """Fold the profiles of every m-edge graph on n vertices, visiting only
     the degree-sorted ones, each weighted by the labeled graphs it stands
-    for.  Returns what scan_graph_range returns for the whole cell,
-    followed by three witnesses: the adjacency rows of the first graph in
-    search order that reaches max_alpha, a tuple of those for each
-    max_ir[r], and those for max_total.
+    for.  Returns a dict keyed by CellScan's fields other than n and m:
+    graphs_checked, the maxima and their *_count weights as
+    scan_graph_range folds them for the whole cell, and three witnesses,
+    the adjacency rows of the first graph in search order that reaches
+    max_alpha (alpha_witness), a tuple of those for each max_ir[r]
+    (ir_witness), and those for max_total (total_witness).
 
     A graph is degree-sorted when deg(0) >= deg(1) >= ... >= deg(n-1).
     Every graph has a degree-sorted relabeling, and every profile entry
@@ -237,4 +243,4 @@ def scan_sorted(n: int, m: int):
                     deg[v] -= 1
 
     row(0, n - 1, 0)
-    return fold.result() + fold.witnesses()
+    return fold.record()

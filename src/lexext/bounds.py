@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 
 from .arith import binom, is_exact_triangular, triangular_decompose
 from .errors import DomainError
@@ -76,9 +77,11 @@ def ir_upper_lex(n: int, m: int, r: int) -> int:
     d, _ = _cell(n, m)
     if r < 2:
         raise DomainError(f"ir_upper_lex requires r >= 2, got r={r}")
+    # _cell and r >= 2 leave every argument non-negative, so math.comb
+    # needs none of binom's checks; the same holds in ir_upper_erdos
     if d is None:
-        return binom(n, r)
-    return binom(n - d.k - d.p_k, r - 1) + binom(n - d.k, r)
+        return comb(n, r)
+    return comb(n - d.k - d.p_k, r - 1) + comb(n - d.k, r)
 
 
 def ir_upper_erdos(n: int, m: int, r: int) -> int:
@@ -95,7 +98,7 @@ def ir_upper_erdos(n: int, m: int, r: int) -> int:
         raise DomainError(f"ir_upper_erdos requires r >= 2, got r={r}")
     if e is None:
         return 0
-    return binom(e.s, r) + binom(e.t, r - 1)
+    return comb(e.s, r) + comb(e.t, r - 1)
 
 
 def cr_upper(m: int, r: int) -> int:

@@ -45,14 +45,6 @@ from .lexgraph import Graph, build_lex_graph
 DEFAULT_BUDGET = 10**7
 
 
-def pair_slots(n: int) -> tuple[tuple[int, int], ...]:
-    """All vertex pairs {u, v} of [n] as 1-indexed (u, v) with u < v, in
-    lex order.  Slot i of this tuple is edge rank i of the lex graph."""
-    if n < 1:
-        raise DomainError(f"pair_slots requires n >= 1, got n={n}")
-    return tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
-
-
 def graph_count(n: int, m: int) -> int:
     """Number of labeled simple graphs on [n] with exactly m edges."""
     _cell(n, m)
@@ -66,7 +58,8 @@ class CellScan:
     max_ir and ir_count are indexed by set size r = 0..n.  Each count
     says how many scanned graphs attain its maximum, and each witness
     holds the adjacency rows of the first sorted graph the search found
-    attaining it; ir_witness is indexed by r too.
+    attaining it; ir_witness is indexed by r too.  Every field but n and
+    m is a key of the kernels' scan_sorted record, which fills it as is.
     """
 
     n: int
@@ -81,25 +74,6 @@ class CellScan:
     alpha_witness: tuple[int, ...]
     ir_witness: tuple[tuple[int, ...], ...]
     total_witness: tuple[int, ...]
-
-    @classmethod
-    def from_raw(cls, n: int, m: int, raw) -> "CellScan":
-        (checked, max_alpha, alpha_count, max_ir, ir_count, max_total, total_count,
-         alpha_witness, ir_witness, total_witness) = raw
-        return cls(
-            n=n,
-            m=m,
-            graphs_checked=int(checked),
-            max_alpha=int(max_alpha),
-            alpha_count=int(alpha_count),
-            max_ir=tuple(int(x) for x in max_ir),
-            ir_count=tuple(int(x) for x in ir_count),
-            max_total=int(max_total),
-            total_count=int(total_count),
-            alpha_witness=alpha_witness,
-            ir_witness=ir_witness,
-            total_witness=total_witness,
-        )
 
 
 def scan_cell(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> CellScan:
@@ -116,7 +90,7 @@ def scan_cell(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> CellScan:
     total = graph_count(n, m)
     if total > budget:
         raise BudgetExceededError(n, m, required=total, budget=budget)
-    scan = CellScan.from_raw(n, m, _kernels.scan_sorted(n, m))
+    scan = CellScan(n=n, m=m, **_kernels.scan_sorted(n, m))
     if scan.graphs_checked != total:
         raise AssertionError(
             f"cell ({n},{m}) weights sum to {scan.graphs_checked}, expected {total}"

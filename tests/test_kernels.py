@@ -9,6 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 import lexext
 from lexext import _core_py, _kernels, binom
 from lexext.cli import main
-from lexext.verify import graph_count
+from lexext.verify import CellScan, graph_count
 
 
 def random_adj(n: int, rng) -> list[int]:
@@ -147,23 +148,42 @@ class TestKernelAgreement:
                 core_c.scan_graph_range(5, 3, (0, 1, slot), 1)
 
 
+# scan_graph_range's positional fields, by their names in scan_sorted's record
+REDUCTIONS = (
+    "graphs_checked", "max_alpha", "alpha_count", "max_ir", "ir_count", "max_total", "total_count"
+)
+
+
 def labeled_scan(scan_graph_range, n, m):
-    """The whole cell (n, m) through a labeled rank-range scan."""
-    return tuple(scan_graph_range(n, m, tuple(range(m)), graph_count(n, m)))
+    """The whole cell (n, m) through a labeled rank-range scan, keyed by
+    the names of scan_sorted's reductions."""
+    return dict(zip(REDUCTIONS, scan_graph_range(n, m, tuple(range(m)), graph_count(n, m))))
+
+
+def reductions(record):
+    return {name: record[name] for name in REDUCTIONS}
 
 
 class TestSortedScan:
     """scan_sorted must fold to exactly what a scan of every labeled graph
     of the cell folds to: maxima, weighted tie counts and graphs checked.
-    Those are its first seven fields; the witnesses that follow are
-    checked against naive profiles in test_verify."""
+    Those are its seven reduction keys; the witnesses are checked against
+    naive profiles in test_verify."""
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (4, 3), (62, 1)])
+    def test_record_has_the_fields_of_a_cell_scan(self, request, n, m):
+        # the one place that pins the record's shape for both kernels; the
+        # pure kernel is checked before a missing C compiler skips the rest
+        expected = {f.name for f in fields(CellScan)} - {"n", "m"}
+        assert set(_core_py.scan_sorted(n, m)) == expected
+        assert set(request.getfixturevalue("core_c").scan_sorted(n, m)) == expected
 
     def test_kernels_agree_with_labeled_scan_to_order_six(self, core_c):
         for n in range(1, 7):
             for m in range(binom(n, 2) + 1):
                 labeled = labeled_scan(_core_py.scan_graph_range, n, m)
                 pure = _core_py.scan_sorted(n, m)
-                assert pure[:7] == labeled, (n, m)
+                assert reductions(pure) == labeled, (n, m)
                 # the witnesses too: both kernels search in the same order
                 assert core_c.scan_sorted(n, m) == pure, (n, m)
 
@@ -173,13 +193,14 @@ class TestSortedScan:
         except ImportError:
             pytest.skip("C kernel not built: the labeled scan of all 2**21 order-7 graphs is left to it")
         for m in range(binom(7, 2) + 1):
-            assert _core_c.scan_sorted(7, m)[:7] == labeled_scan(_core_c.scan_graph_range, 7, m)
+            labeled = labeled_scan(_core_c.scan_graph_range, 7, m)
+            assert reductions(_core_c.scan_sorted(7, m)) == labeled
 
     @pytest.mark.parametrize("n, m", [(30, 2), (30, 433), (62, 1), (62, 1890)])
     def test_sparse_and_dense_cells_of_large_orders(self, core_c, n, m):
         # the search must prune on edge count and degree caps: row 0 of
         # (30, 2) alone has 2**29 neighbour sets
-        reduction = _kernels.scan_sorted(n, m)[:7]
+        reduction = reductions(_kernels.scan_sorted(n, m))
         assert reduction == labeled_scan(core_c.scan_graph_range, n, m)
 
     @pytest.mark.parametrize("m", [10, 945, 1881])

@@ -14,7 +14,6 @@ from lexext import (
     build_lex_graph,
     graph_count,
     independence_profile,
-    pair_slots,
     verify_alpha_sharp,
     verify_ir_sharp,
     verify_range,
@@ -62,22 +61,6 @@ def assert_sorted_witness(n, m, edges, value, bound):
     assert is_degree_sorted(g)
     assert g.m == m
     assert value(naive_profile(g)) > bound
-
-
-class TestPairSlots:
-    def test_small(self):
-        assert pair_slots(2) == ((1, 2),)
-        assert pair_slots(4) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-    def test_length(self):
-        for n in range(1, 15):
-            assert len(pair_slots(n)) == binom(n, 2)
-
-    def test_slot_rank_matches_lex_graph_edges(self):
-        for n in range(2, 9):
-            slots = pair_slots(n)
-            for m in range(binom(n, 2) + 1):
-                assert list(slots[:m]) == build_lex_graph(n, m).edges()
 
 
 class TestGraphCount:
