@@ -22,9 +22,12 @@ degree-sorted graph, in the order the scan's search visits them, that
 reaches the scanned maximum.  The scan keeps one such witness for alpha,
 for each r and for the total, so a failure costs no second scan.
 
-The cell is also the unit of parallel work: verify_range hands whole
-cells to a pool and takes their records back in cell order, so the
-output is the same with or without a pool.
+The cell is also the unit of parallel work.  With more than one job,
+verify_range hands whole cells to a pool when its in-budget cells hold
+at least POOL_MIN_GRAPHS labeled graphs in all, since a pool costs more
+to start than a smaller sweep takes, and runs every cell in its own
+process otherwise.  Records come back in cell order either way, so the
+output is the same for any job count.
 
 Cells larger than the budget, counted in labeled graphs, are refused up
 front with the exact graph count required, never silently truncated.
@@ -32,6 +35,7 @@ front with the exact graph count required, never silently truncated.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +47,18 @@ from .errors import BudgetExceededError, DomainError
 from .lexgraph import Graph, build_lex_graph
 
 DEFAULT_BUDGET = 10**7
+
+# The fewest labeled graphs, summed over a sweep's in-budget cells, for
+# which a pool of two finishes the sweep sooner than one process.  A pool
+# costs about 20 ms to start, stop and route one sweep's cells through,
+# so it pays only for a sweep of about 60 ms or more in one process, and
+# the two kernels scan at very different rates per labeled graph.
+# Measured in process on 2 CPUs: with the C kernel, a pool lost at 2.6e7
+# graphs (59 against 53 ms) and won at 5.2e7 (61 against 91 ms); with
+# the pure Python kernel it broke even at 3.5e4 graphs (about 44 ms) and
+# won at 9.0e4 (82 against 96 ms).  Provisional: to be re-measured on
+# the benchmark's n = 9 row once it exists.
+POOL_MIN_GRAPHS = 4 * 10**7 if _kernels.BACKEND == "c" else 10**5
 
 
 def graph_count(n: int, m: int) -> int:
@@ -329,37 +345,62 @@ def _verify_cell(task) -> list:
     ]
 
 
+def _pool(jobs: int):
+    """A pool of ``jobs`` processes, or for one job a context that gives
+    None, so that the caller runs its cells in place."""
+    if jobs == 1:
+        return nullcontext()
+    # imported here: the import alone costs more than a small sweep
+    import multiprocessing
+
+    # called through the module, so that a Pool set on it is used
+    return multiprocessing.Pool(jobs)
+
+
 def verify_range(
     n_max: int,
     r_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    pool=None,
+    jobs: int = 1,
     emit=None,
 ) -> VerificationSummary:
     """Run all three certificate kinds for every cell n <= n_max, every
     m, every r in [2, min(r_max, n)], skipping cells over budget.
 
-    Each cell is scanned once and shared across its certificates.  With a
-    multiprocessing ``pool`` whole cells run in its workers; ``imap``
-    returns them in cell order, so the records are the same either way.
-    When ``emit`` is given it receives each certificate and skip record
-    as a dict, in cell order, as soon as its cell is done.
+    Each cell is scanned once and shared across its certificates.  With
+    ``jobs`` > 1, whole cells run in a pool of that many processes when
+    the cells within the budget hold at least POOL_MIN_GRAPHS labeled
+    graphs in all, and in this process otherwise.  ``imap`` returns cells
+    in order, so the records are the same for any ``jobs``.  The pool is
+    terminated before verify_range returns or raises.  When ``emit`` is
+    given it receives each certificate and skip record as a dict, in
+    cell order, as soon as its cell is done.
     """
     if n_max < 1:
         raise DomainError(f"verify_range requires n_max >= 1, got {n_max}")
     if r_max < 2:
         raise DomainError(f"verify_range requires r_max >= 2, got {r_max}")
+    if jobs < 1:
+        raise DomainError(f"verify_range requires jobs >= 1, got {jobs}")
     tasks = [
         (n, m, r_max, budget) for n in range(1, n_max + 1) for m in range(binom(n, 2) + 1)
     ]
+    if jobs > 1:
+        # graph_count without its cell check, which costs 20 times as much
+        # over a sweep; every cell here is valid
+        counts = (binom(binom(n, 2), m) for n, m, _, _ in tasks)
+        if sum(c for c in counts if c <= budget) < POOL_MIN_GRAPHS:
+            jobs = 1
     certificates = []
     skipped = []
-    for records in (map if pool is None else pool.imap)(_verify_cell, tasks):
-        for record in records:
-            (skipped if isinstance(record, SkippedCell) else certificates).append(record)
-            if emit is not None:
-                emit(record.as_dict())
+    # leaving the block terminates the pool, also when emit raises
+    with _pool(jobs) as pool:
+        for records in (map if pool is None else pool.imap)(_verify_cell, tasks):
+            for record in records:
+                (skipped if isinstance(record, SkippedCell) else certificates).append(record)
+                if emit is not None:
+                    emit(record.as_dict())
     return VerificationSummary(
         n_max=n_max,
         r_max=r_max,

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from lexext import verify
+from lexext import _kernels, verify
 from lexext.cli import main
 
 LEX56_EDGELIST = "5 6\n1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n"
@@ -249,7 +249,8 @@ class TestVerify:
 
     def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
         # a stand-in pool records the processes asked for and maps in-process,
-        # so no value here ever starts a worker
+        # so no value here ever starts a worker; the lowered threshold makes
+        # this sweep, of 75 graphs in all, ask for one
         requested = []
 
         class RecordingPool:
@@ -265,6 +266,7 @@ class TestVerify:
             def imap(self, fn, tasks):
                 return map(fn, tasks)
 
+        monkeypatch.setattr(verify, "POOL_MIN_GRAPHS", 20)
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         _, expected, _ = run(capsys, "verify", "--n-max", "4", "--r-max", "3")
         for cpus, pools in ((2, [2]), (1, []), (None, [])):
@@ -275,6 +277,29 @@ class TestVerify:
             )
             assert code == 0
             assert requested == pools
+            assert out == expected
+
+    def test_small_sweeps_start_no_pool(self, capsys, monkeypatch):
+        # the in-budget cells of each sweep hold fewer than POOL_MIN_GRAPHS
+        # graphs in all for the kernel in use, so --jobs 2 runs them in
+        # this process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        sweeps = {
+            "c": (
+                ["--n-max", "8", "--budget", "30000"],
+                ["--n-max", "8", "--budget", "2000000"],
+                ["--n-max", "7"],
+            ),
+            "python": (["--n-max", "8", "--budget", "3000"], ["--n-max", "6"]),
+        }[_kernels.BACKEND]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        for sweep in sweeps:
+            _, expected, _ = run(capsys, "verify", *sweep, "--jobs", "1")
+            code, out, _ = run(capsys, "verify", *sweep, "--jobs", "2")
+            assert code == 0
             assert out == expected
 
     def test_failed_bound_exits_one_with_counterexamples(self, capsys, monkeypatch):
@@ -372,6 +397,42 @@ class TestInstalledEntryPoint:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_closed_pipe_with_pool_exits_141_quietly(self):
+        # a threshold of 1 starts a pool for any sweep, and this one prints
+        # far past a pipe's buffer, so the pool is running when the reader
+        # closes its end
+        script = (
+            "import os, sys\n"
+            "from lexext import verify\n"
+            "from lexext.cli import main\n"
+            "os.cpu_count = lambda: 2\n"
+            "verify.POOL_MIN_GRAPHS = 1\n"
+            "sys.exit(main(['verify', '--n-max', '8', '--jobs', '2']))\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert json.loads(proc.stdout.readline())["kind"] == "alpha"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a pool starts only for a large sweep, so its import waits for one too
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, lexext.cli; print('multiprocessing' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert out.stdout == "False\n"
 
     def test_console_script_usage_error(self):
         out = subprocess.run(

@@ -324,6 +324,36 @@ class TestCertificates:
         assert_sorted_witness(9, 9, cert.counterexample, alpha_of, cert.bound)
 
 
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace multiprocessing.Pool with a stand-in that runs its tasks in
+    place, and return the list of stand-ins made, each with its tasks."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self.processes = processes
+            self.tasks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            for task in tasks:
+                self.tasks.append(task)
+                yield fn(task)
+
+        def map(self, fn, tasks):
+            raise AssertionError("verify_range must not call map")
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return pools
+
+
 class TestVerifyRange:
     def test_small_sweep_all_ok(self):
         emitted = []
@@ -371,36 +401,69 @@ class TestVerifyRange:
             verify_range(0, 3)
         with pytest.raises(DomainError):
             verify_range(4, 1)
+        with pytest.raises(DomainError):
+            verify_range(5, 3, jobs=0)
 
-    def test_parallel_equals_sequential(self):
-        # a budget of 100 skips some n=5 cells, so skip records cross the pool too
+    def test_parallel_equals_sequential(self, monkeypatch):
+        # the lowered threshold starts a real pool of two, and a budget of
+        # 100 skips some n=5 cells, so skip records cross the pool too
+        started = []
+        real_pool = multiprocessing.Pool
+        monkeypatch.setattr(verify, "POOL_MIN_GRAPHS", 1)
+        monkeypatch.setattr(
+            multiprocessing, "Pool", lambda jobs: started.append(jobs) or real_pool(jobs)
+        )
         sequential, parallel = [], []
         expected = verify_range(5, 3, budget=100, emit=sequential.append)
-        with multiprocessing.Pool(2) as pool:
-            got = verify_range(5, 3, budget=100, pool=pool, emit=parallel.append)
+        assert started == []
+        got = verify_range(5, 3, budget=100, jobs=2, emit=parallel.append)
+        assert started == [2]
         assert expected.skipped
         assert parallel == sequential
         assert got == expected
 
-    def test_pool_gets_one_task_per_cell_in_order(self):
-        class RecordingPool:
-            def __init__(self):
-                self.tasks = []
-
-            def imap(self, fn, tasks):
-                for task in tasks:
-                    self.tasks.append(task)
-                    yield fn(task)
-
-            def map(self, fn, tasks):
-                raise AssertionError("verify_range must not call map")
-
-        pool = RecordingPool()
-        summary = verify_range(5, 3, budget=100, pool=pool)
+    def test_pool_gets_one_task_per_cell_in_order(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(verify, "POOL_MIN_GRAPHS", 1)
+        summary = verify_range(5, 3, budget=100, jobs=2)
         cells = [(n, m) for n in range(1, 6) for m in range(binom(n, 2) + 1)]
+        (pool,) = recorded_pools
+        assert pool.processes == 2
         assert [task[:2] for task in pool.tasks] == cells
         assert summary.skipped
         assert summary.cells_checked + len(summary.skipped) == len(cells)
+
+    def test_pool_starts_at_the_threshold_of_in_budget_graphs(
+        self, monkeypatch, recorded_pools
+    ):
+        # a budget of 40 skips (5, 2) to (5, 8), of 45 to 252 graphs each,
+        # so the sweep scans 97 of its 1,099 graphs
+        counts = [graph_count(n, m) for n in range(1, 6) for m in range(binom(n, 2) + 1)]
+        scanned = sum(c for c in counts if c <= 40)
+        assert (scanned, sum(counts)) == (97, 1099)
+        expected = verify_range(5, 3, budget=40)
+        for threshold, pools in ((scanned + 1, 0), (scanned, 1)):
+            monkeypatch.setattr(verify, "POOL_MIN_GRAPHS", threshold)
+            assert verify_range(5, 3, budget=40, jobs=2) == expected
+            assert len(recorded_pools) == pools
+
+    def test_no_worker_outlives_an_early_exit(self, monkeypatch):
+        # the lowered threshold starts a pool; emit then fails on a record
+        # from it, as print does once the reader has gone
+        alive = []
+
+        def emit(record):
+            if (record["n"], record["m"]) == (6, 5):
+                alive.extend(multiprocessing.active_children())
+                raise BrokenPipeError
+
+        monkeypatch.setattr(verify, "POOL_MIN_GRAPHS", 1)
+        try:
+            verify_range(6, 3, jobs=2, emit=emit)
+        except BrokenPipeError:
+            assert multiprocessing.active_children() == []
+        else:
+            pytest.fail("emit did not raise")
+        assert len(alive) == 2
 
 
 def test_errors_survive_pickle():
